@@ -12,7 +12,7 @@ from benchmarks.conftest import GEOMETRY_4MB, emit, once
 from repro.characterization.hits import SharingClassifier
 from repro.common.stats import ratio
 from repro.policies.registry import make_policy
-from repro.sim.engine import LlcOnlySimulator
+from repro.sim.multipass import run_policy_on_stream
 
 MAX_DEGREE = 8
 
@@ -23,9 +23,10 @@ def test_f2b_sharing_degree_distribution(benchmark, context):
         for name in context.workload_list:
             stream = context.artifacts(name).stream
             classifier = SharingClassifier()
-            LlcOnlySimulator(
-                GEOMETRY_4MB, make_policy("lru"), observers=(classifier,)
-            ).run(stream)
+            run_policy_on_stream(
+                stream, GEOMETRY_4MB, make_policy("lru"),
+                observers=(classifier,),
+            )
             breakdown = classifier.breakdown
             shared_total = breakdown.shared_residencies
             if shared_total == 0:

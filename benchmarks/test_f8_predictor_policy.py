@@ -15,7 +15,6 @@ from repro.oracle.wrapper import SharingAwareWrapper
 from repro.policies.registry import make_policy
 from repro.predictors.harness import PredictorHarness, predictor_hint_source
 from repro.predictors.registry import make_predictor
-from repro.sim.engine import LlcOnlySimulator
 from repro.sim.multipass import run_policy_on_stream
 
 PREDICTORS = ("address", "pc", "hybrid")
@@ -28,7 +27,8 @@ def predictor_driven_reduction(stream, geometry, predictor_name):
     wrapper = SharingAwareWrapper(
         make_policy("lru"), predictor_hint_source(predictor)
     )
-    driven = LlcOnlySimulator(geometry, wrapper, observers=(harness,)).run(stream)
+    driven = run_policy_on_stream(stream, geometry, wrapper,
+                                  observers=(harness,))
     return driven.miss_reduction_vs(baseline)
 
 

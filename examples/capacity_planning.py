@@ -23,7 +23,7 @@ from repro.analysis.tables import render_table
 from repro.common.config import CacheGeometry
 from repro.oracle.runner import run_oracle_study
 from repro.policies.lru import LruPolicy
-from repro.sim.engine import LlcOnlySimulator
+from repro.sim.multipass import run_policy_on_stream
 from repro.sim.sampling import SampledLlcSimulator
 
 
@@ -46,7 +46,7 @@ def main():
     rows = []
     for blocks in sizes:
         geometry = CacheGeometry(blocks * 64, base_geometry.ways)
-        full = LlcOnlySimulator(geometry, LruPolicy()).run(stream)
+        full = run_policy_on_stream(stream, geometry, "lru")
         sampled = SampledLlcSimulator(
             geometry, LruPolicy(), sample_ratio=min(8, geometry.num_sets)
         ).run(stream)

@@ -19,7 +19,6 @@ from repro.oracle.wrapper import SharingAwareWrapper
 from repro.policies.registry import make_policy
 from repro.predictors.harness import PredictorHarness, predictor_hint_source
 from repro.predictors.registry import make_predictor
-from repro.sim.engine import LlcOnlySimulator
 from repro.sim.multipass import run_policy_on_stream
 
 WORKLOADS = ("streamcluster", "canneal", "dedup", "bodytrack", "barnes", "water")
@@ -58,9 +57,9 @@ def main():
             wrapper = SharingAwareWrapper(
                 make_policy("lru"), predictor_hint_source(driven_predictor)
             )
-            driven = LlcOnlySimulator(
-                geometry, wrapper, observers=(driven_harness,)
-            ).run(stream)
+            driven = run_policy_on_stream(
+                stream, geometry, wrapper, observers=(driven_harness,)
+            )
             policy_row.append(driven.miss_reduction_vs(baseline))
         policy_rows.append(policy_row)
         print(f"  studied {name}")

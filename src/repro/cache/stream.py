@@ -13,8 +13,10 @@ Storage mirrors :class:`repro.trace.Trace`: four parallel arrays.
 from array import array
 from typing import Iterator, NamedTuple, Tuple
 
+import numpy as np
+
 from repro.common.errors import TraceError
-from repro.common.npsupport import frozen_view, require_numpy
+from repro.common.npsupport import frozen_view
 
 
 class LlcAccess(NamedTuple):
@@ -64,14 +66,26 @@ class LlcStream:
         """``(cores, pcs, blocks, writes)`` for bulk consumers."""
         return self._cores, self._pcs, self._blocks, self._writes
 
+    def python_columns(self) -> Tuple:
+        """``(cores, pcs, blocks, writes)`` yielding Python ints.
+
+        ``array.array`` columns already do and are returned as they are.
+        Numpy views from a zero-copy load are converted once with
+        ``tolist()``: their int8 core ids would otherwise leak numpy
+        scalars into the core masks (``1 << np.int8(7)`` is ``-128``).
+        """
+        return tuple(
+            column if isinstance(column, array) else column.tolist()
+            for column in self.columns()
+        )
+
     def numpy_columns(self) -> Tuple:
         """``(cores, pcs, blocks, writes)`` as read-only numpy views.
 
         Zero-copy: the views alias the stream's own column buffers (the
         whole point — vectorized kernels must not pay a materialization
-        copy per replay). Raises :class:`RuntimeError` without numpy.
+        copy per replay).
         """
-        np = require_numpy()
         return (
             frozen_view(self._cores, np.int8),
             frozen_view(self._pcs, np.int64),

@@ -25,7 +25,7 @@ files are ``mmap``-ed and each column becomes an ``np.frombuffer`` view
 over the mapping — no per-column deserialize copy, so N pool workers
 re-opening the same cached stream share the page cache instead of each
 materializing the blobs. The CRC is still verified over the mapped bytes.
-Gzip paths and numpy-less interpreters take the original streamed reader
+Gzip paths (and files that cannot be mapped) take the streamed reader
 (``array.frombytes``); both produce equivalent streams (the column types
 differ — numpy views vs ``array.array`` — but every consumer is
 duck-typed over them, and the equivalence is differential-tested).
@@ -39,9 +39,10 @@ from array import array
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from repro.cache.stream import LlcStream
 from repro.common.errors import TraceError
-from repro.common.npsupport import HAVE_NUMPY, require_numpy
 
 _MAGIC = b"RLLC"
 _VERSION = 2
@@ -79,15 +80,15 @@ def write_llc_stream(stream: LlcStream, path: Union[str, Path]) -> None:
 def read_llc_stream(path: Union[str, Path]) -> LlcStream:
     """Load a stream written by :func:`write_llc_stream`.
 
-    Plain files with numpy available load zero-copy (module docstring);
-    gzip paths and numpy-less interpreters take the streamed reader.
+    Plain files load zero-copy (module docstring); gzip paths take the
+    streamed reader.
 
     Raises:
         TraceError: on a bad magic number, unsupported version, a
             truncated file, or a column checksum mismatch.
     """
     path = Path(path)
-    if path.suffix != ".gz" and HAVE_NUMPY:
+    if path.suffix != ".gz":
         stream = _read_llc_stream_mapped(path)
         if stream is not None:
             return stream
@@ -103,7 +104,6 @@ def _read_llc_stream_mapped(path: Path):
     function through the views' ``base`` references; the file descriptor
     is closed immediately.
     """
-    np = require_numpy()
     with open(path, "rb") as handle:
         try:
             buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)

@@ -51,27 +51,23 @@ def characterize_stream(
             either way).
     """
     # Imported here rather than at module level: repro.sim.experiment
-    # imports this module, and pulling the engine in lazily keeps the
-    # package import graph acyclic whichever package is imported first.
-    from repro.sim.engine import LlcOnlySimulator
-    from repro.sim.setpath import try_fast_replay
+    # imports this module, and pulling the replay entry point in lazily
+    # keeps the package import graph acyclic whichever package is
+    # imported first.
+    from repro.sim.multipass import run_policy_on_stream
 
     classifier = SharingClassifier()
     observers = [classifier]
     phase_tracker = SharingPhaseTracker() if track_phases else None
     if phase_tracker is not None:
         observers.append(phase_tracker)
-    # The instance (not the name) goes to the dispatch: this caller seeds
+    # The instance (not the name) goes to the replay: this caller seeds
     # with the plain ``seed`` rather than a derived stream, and passing
     # the instance keeps that on every tier.
-    result = try_fast_replay(
+    result = run_policy_on_stream(
         stream, geometry, make_policy(policy_name, seed=seed),
         observers=tuple(observers), fastpath=fastpath,
     )
-    if result is None:
-        policy = make_policy(policy_name, seed=seed)
-        simulator = LlcOnlySimulator(geometry, policy, observers=tuple(observers))
-        result = simulator.run(stream)
     phases = phase_tracker.finalize() if phase_tracker is not None else PhaseStats()
     return CharacterizationReport(
         result=result, breakdown=classifier.breakdown, phases=phases

@@ -206,13 +206,6 @@ def _add_fastpath_argument(parser: argparse.ArgumentParser) -> None:
              "kernels); scalar-tier replays take the object model instead "
              "(results are bit-identical, this only trades speed)",
     )
-    parser.add_argument(
-        "--kernel-jobs", type=_nonnegative_int, default=None, metavar="N",
-        help="worker threads sharding the set-partitioned kernels within "
-             "one replay (1 = serial, 0 = all cores; exact — per-set "
-             "state and RNG streams are independent; default: "
-             "$REPRO_SIM_KERNEL_JOBS or serial)",
-    )
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
@@ -274,10 +267,6 @@ def _context(args) -> ExperimentContext:
         from repro.sim.nativepath import NO_NATIVE_ENV
 
         os.environ[NO_NATIVE_ENV] = "1"
-    if getattr(args, "kernel_jobs", None) is not None:
-        from repro.sim.nativepath import KERNEL_JOBS_ENV
-
-        os.environ[KERNEL_JOBS_ENV] = str(args.kernel_jobs)
     if args.workloads:
         unknown = set(args.workloads) - set(workload_names())
         if unknown:

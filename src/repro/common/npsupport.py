@@ -1,53 +1,22 @@
-"""Optional numpy acceleration gate.
+"""numpy helpers shared by the vectorized kernels.
 
-Vectorized kernels (next-use computation, annotation scans, column views)
-import numpy through this module so that every accelerated path degrades to
-its pure-Python twin on interpreters without numpy. Design decision #4
-(deterministic everything) still holds: both paths are equivalence-tested
-to produce bit-identical outputs, so which one runs never changes a result.
+numpy is a hard dependency. Vectorized kernels (next-use computation,
+annotation scans, column views) keep pure-Python twins all the same: they
+are the reference implementations the equivalence tests compare against,
+and they win below each kernel's size threshold, where numpy's per-call
+overhead does not pay. Design decision #4 (deterministic everything)
+holds because both paths are equivalence-tested to produce bit-identical
+outputs, so which one runs never changes a result.
 """
 
-from repro.common.envflag import env_flag
-
-NO_NUMPY_ENV = "REPRO_SIM_NO_NUMPY"
-"""Set (to a truthy value — see :func:`repro.common.envflag.env_flag`) to
-pretend numpy is absent.
-
-CI's no-numpy job and the pure-Python equivalence tests use this to drive
-every kernel down its Python twin without uninstalling anything.
-``REPRO_SIM_NO_NUMPY=0``/``=false`` count as unset, not as a request to
-drop numpy.
-"""
-
-if env_flag(NO_NUMPY_ENV):
-    numpy = None
-else:
-    try:  # pragma: no cover - exercised implicitly by every vectorized kernel
-        import numpy
-    except ImportError:  # pragma: no cover - numpy ships with the toolchain
-        numpy = None
-
-HAVE_NUMPY = numpy is not None
-"""True when numpy is importable; vectorized kernels key off this."""
-
-
-def require_numpy():
-    """The numpy module, or a :class:`RuntimeError` when unavailable.
-
-    Callers that were explicitly asked to vectorize (``use_numpy=True``)
-    use this to fail loudly instead of silently falling back.
-    """
-    if numpy is None:
-        raise RuntimeError("numpy is not available in this interpreter")
-    return numpy
+import numpy
 
 
 def frozen_view(column, dtype):
     """Zero-copy read-only numpy view over one ``array.array`` column."""
-    np = require_numpy()
     if len(column) == 0:
-        return np.empty(0, dtype=dtype)
-    view = np.frombuffer(column, dtype=dtype)
+        return numpy.empty(0, dtype=dtype)
+    view = numpy.frombuffer(column, dtype=dtype)
     view.flags.writeable = False
     return view
 
@@ -55,13 +24,10 @@ def frozen_view(column, dtype):
 def should_vectorize(use_numpy, length: int, threshold: int) -> bool:
     """Resolve the three-state ``use_numpy`` flag for one kernel call.
 
-    ``None`` means auto: vectorize when numpy exists and the input is big
-    enough for the numpy call overhead to pay for itself. ``True`` demands
-    numpy (raising when missing); ``False`` forces the Python path.
+    ``None`` means auto: vectorize when the input is big enough for the
+    numpy call overhead to pay for itself. ``True`` forces numpy;
+    ``False`` forces the Python twin.
     """
     if use_numpy is None:
-        return HAVE_NUMPY and length >= threshold
-    if use_numpy:
-        require_numpy()
-        return True
-    return False
+        return length >= threshold
+    return bool(use_numpy)

@@ -23,15 +23,17 @@ from array import array
 from collections import deque
 from typing import Dict, Optional, Union
 
+import numpy as np
+
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.common.npsupport import require_numpy, should_vectorize
+from repro.common.npsupport import should_vectorize
 from repro.common.rng import derive_seed
 from repro.oracle.residency import FillSharingLog
 from repro.policies.base import ReplacementPolicy
 from repro.policies.registry import make_policy
-from repro.sim.engine import LlcOnlySimulator
+from repro.sim.multipass import run_policy_on_stream
 
 DEFAULT_HORIZON_FACTOR = 8
 """Retention horizon in units of LLC capacity (in blocks)."""
@@ -134,7 +136,6 @@ def _build_stream_annotation_numpy(
     first; returns ``None`` when even dense ids cannot pack (caller falls
     back to the Python scan).
     """
-    np = require_numpy()
     n = len(stream)
     budgets = array("i", bytes(4 * (n + 1)))
     if n == 0:
@@ -191,8 +192,7 @@ def build_sharing_annotation(
     if isinstance(policy, str):
         policy = make_policy(policy, seed=derive_seed(seed, "annotate", policy))
     log = FillSharingLog(len(stream))
-    simulator = LlcOnlySimulator(geometry, policy, observers=(log,))
-    simulator.run(stream)
+    run_policy_on_stream(stream, geometry, policy, observers=(log,))
     return log.budgets
 
 

@@ -18,9 +18,8 @@ from repro.oracle.annotate import (
 from repro.oracle.residency import FillSharingLog
 from repro.oracle.wrapper import SharingAwareWrapper
 from repro.policies.registry import make_policy
-from repro.sim.engine import LlcOnlySimulator
+from repro.sim.multipass import run_policy_on_stream
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import try_fast_replay
 
 
 MAX_HORIZON_FACTOR = 10
@@ -68,7 +67,8 @@ every A1 variant of one study, and any capacity cells whose factor/horizon
 products collide. Keys hold weak stream references (annotations die with
 their stream) and the mapping is bounded at
 :data:`ANNOTATION_MEMO_CAPACITY` entries, least-recently-used first out.
-Guarded by a lock: sharded replays may annotate from worker threads.
+Guarded by a lock: callers may annotate from several threads, and the
+weakref purge callback can fire on any of them.
 """
 
 _ANNOTATION_MEMO_LOCK = Lock()
@@ -229,21 +229,14 @@ def _base_pass(
     protection mode or release policy, which is what lets a whole A1
     variant grid share one base pass.
     """
-
-    def fresh_base():
-        return make_policy(base, seed=derive_seed(seed, "oracle-base", base))
-
     base_log = FillSharingLog(len(stream))
-    # The instance (not the name) goes to the dispatch so the base keeps
-    # its "oracle-base" seed derivation on every tier.
-    base_result = try_fast_replay(
-        stream, geometry, fresh_base(), observers=(base_log,),
-        fastpath=fastpath,
+    # The instance (not the name) goes to the replay so the base keeps its
+    # "oracle-base" seed derivation on every tier.
+    base_result = run_policy_on_stream(
+        stream, geometry,
+        make_policy(base, seed=derive_seed(seed, "oracle-base", base)),
+        observers=(base_log,), fastpath=fastpath,
     )
-    if base_result is None:
-        base_result = LlcOnlySimulator(
-            geometry, fresh_base(), observers=(base_log,)
-        ).run(stream)
     shared_fill_fraction = (
         base_log.shared_fills / base_log.total_fills if base_log.total_fills else 0.0
     )
@@ -298,11 +291,9 @@ def run_oracle_variants(
             make_policy(base, seed=derive_seed(seed, "oracle-base", base)),
             oracle_hint_source(budgets, cap=cap), mode, release=release,
         )
-        oracle_result = try_fast_replay(
+        oracle_result = run_policy_on_stream(
             stream, geometry, wrapper, fastpath=fastpath, native=native,
         )
-        if oracle_result is None:
-            oracle_result = LlcOnlySimulator(geometry, wrapper).run(stream)
         studies.append(OracleStudyResult(
             base=base_result,
             oracle=oracle_result,

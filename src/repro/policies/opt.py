@@ -17,8 +17,10 @@ miss count).
 from array import array
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.common.errors import SimulationError
-from repro.common.npsupport import require_numpy, should_vectorize
+from repro.common.npsupport import should_vectorize
 from repro.policies.base import REPLAY_SET, ReplacementPolicy
 
 NO_NEXT_USE = 1 << 62
@@ -69,7 +71,6 @@ def _compute_next_use_numpy(blocks: Sequence[int]) -> Optional[array]:
     sort inside ``np.unique``). Returns ``None`` when even dense ids cannot
     pack (n >= 2^31), signalling the caller to use the Python scan.
     """
-    np = require_numpy()
     if isinstance(blocks, array) and blocks.typecode == "q" and len(blocks):
         column = np.frombuffer(blocks, dtype=np.int64)
     else:

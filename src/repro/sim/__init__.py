@@ -1,9 +1,10 @@
 """Simulation engines and experiment orchestration.
 
-* :class:`LlcOnlySimulator` — replays a recorded LLC stream against one
-  policy (the workhorse of all policy comparisons).
+* :class:`LlcOnlySimulator` — the object-model replay of a recorded LLC
+  stream against one policy (the reference every faster tier matches).
 * ``multipass`` — records the LLC stream once per workload and exposes
-  helpers that replay it under named policies, OPT, and oracle wrappers.
+  :func:`run_policy_on_stream`, the one replay entry point (fast tier,
+  then native backend, then the object model), plus :func:`run_opt`.
 * ``experiment`` — caches per-workload streams so the benches and examples
   pay the expensive hierarchy pass once.
 """

@@ -41,16 +41,6 @@ once and excluded):
   :data:`NATIVEPATH_GATE_PAIRS` with the SHiP pair): both backends are
   bit-identical, counters included, so losing the speedup means the
   oracle tier silently fell back to the model.
-* ``warm_replay_srrip_sharded`` — the set-partitioned SRRIP cell with
-  the per-set loop sharded over two intra-replay worker threads
-  (``kernel_jobs=2``). Tracked but not gated: pure-Python shards share
-  the GIL, so thread scaling is only expected of the numba/numpy
-  kernels; the cell exists to catch pathological sharding overhead.
-* ``warm_replay_drrip_sharded`` — the dueling DRRIP cell with the
-  *follower* phase sharded over two worker threads (the leader pass and
-  PSEL reconstruction stay serial; see
-  :func:`repro.sim.setpath.replay_setpath`). Tracked but not gated, for
-  the same GIL reason as the SRRIP sharded cell.
 * ``warm_sweep_grid`` / ``warm_sweep_grid_percell`` — a whole
   configuration grid (four-associativity LRU capacity grid plus a
   four-point SRRIP ``rrpv_bits`` parameter grid) replayed in shared
@@ -89,7 +79,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.common.npsupport import HAVE_NUMPY
 from repro.common.stats import ratio
 from repro.oracle.annotate import oracle_hint_source
 from repro.oracle.runner import stream_annotation
@@ -187,11 +176,10 @@ def bench_cells(context, workload: str, repeats: int) -> Dict[str, Dict]:
     seed = context.seed
 
     def replay(policy: str, fastpath: Optional[bool],
-               native: Optional[bool] = None,
-               kernel_jobs: Optional[int] = None):
+               native: Optional[bool] = None):
         return lambda: run_policy_on_stream(
             stream, geometry, policy, seed=seed, fastpath=fastpath,
-            native=native, kernel_jobs=kernel_jobs,
+            native=native,
         )
 
     # Oracle pair: the annotation is computed (and memoized) here, before
@@ -255,8 +243,6 @@ def bench_cells(context, workload: str, repeats: int) -> Dict[str, Dict]:
         "warm_replay_ship_scalar": replay("ship", None, native=False),
         "warm_replay_oracle_native": replay_oracle(True),
         "warm_replay_oracle_scalar": replay_oracle(False),
-        "warm_replay_srrip_sharded": replay("srrip", None, kernel_jobs=2),
-        "warm_replay_drrip_sharded": replay("drrip", None, kernel_jobs=2),
         "warm_sweep_grid": sweep_grid,
         "warm_sweep_grid_percell": sweep_grid_percell,
         OVERHEAD_CELL: probed((), False),
@@ -401,7 +387,7 @@ def run_bench(
         "target_accesses": context.target_accesses,
         "seed": context.seed,
         "python_version": platform.python_version(),
-        "numpy_available": HAVE_NUMPY,
+        "numpy_available": True,
         "numba_available": have_numba(),
         "cells": cells,
         "disabled_probe_overhead": overhead,

@@ -12,13 +12,16 @@ replay tier: the stack fast path, the set-partitioned and dueling kernels
 what this loop produces — hit/miss counts, per-set decision order, and
 (for the oracle wrapper) the study counters. Results therefore carry
 provenance: this simulator stamps ``backend="model"``; accelerated paths
-stamp their tier/backend (``compact``/``numba``/``numpy``/``python``,
-plus ``+threadsN`` when a replay genuinely sharded over N worker
-threads). Disabling the accelerations (``fastpath=False``,
-``native=False``, or the ``REPRO_SIM_NO_*`` environment toggles) must
-always land back here. Stream columns are duck-typed — ``array.array``
-from the builder, numpy views after a zero-copy load — and the loop only
-relies on iteration and ``!=``, which both provide.
+stamp their tier/backend (``compact``/``numba``/``numpy``/``python``).
+Library callers reach this loop through the one replay entry point,
+:func:`repro.sim.multipass.run_policy_on_stream`, which tries the fast
+tiers and the native backend first; disabling the accelerations
+(``fastpath=False``, ``native=False``, or the ``REPRO_SIM_NO_*``
+environment toggles) always lands back here. Stream columns are
+``array.array`` from the builder or numpy views after a zero-copy load;
+the loop reads them through :meth:`LlcStream.python_columns`, which
+converts numpy views to Python ints once per replay so numpy scalars
+never reach the core masks.
 """
 
 from time import perf_counter
@@ -50,7 +53,9 @@ class LlcOnlySimulator:
 
         The hot loop zips the four columns instead of indexing each per
         position (four fewer ``__getitem__`` calls per access) and hoists
-        the access method into a local. The result records replay
+        the access method into a local. Columns come from
+        :meth:`LlcStream.python_columns`: a numpy int8 core id would
+        otherwise overflow ``1 << core``. The result records replay
         throughput as ``accesses_per_sec``.
 
         Args:
@@ -62,7 +67,7 @@ class LlcOnlySimulator:
         """
         access = self.llc.access
         start = perf_counter()
-        for core, pc, block, write in zip(*stream.columns()):
+        for core, pc, block, write in zip(*stream.python_columns()):
             access(core, pc, block, write != 0)
         elapsed = perf_counter() - start
         if flush:

@@ -45,10 +45,12 @@ from array import array
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
-from repro.common.npsupport import require_numpy, should_vectorize
+from repro.common.npsupport import should_vectorize
 from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK, ReplacementPolicy
 from repro.policies.registry import policy_class
 from repro.sim.results import LlcSimResult
@@ -359,14 +361,18 @@ _MAX_NUMPY_CORE = 62
 
 
 def _reconstruct_python(walk: LruReplayReconstruction, stream: LlcStream) -> None:
-    """Pure-Python metadata pass (reference implementation)."""
+    """Pure-Python metadata pass (reference implementation).
+
+    Reads :meth:`LlcStream.python_columns`: numpy int8 core ids from a
+    mapped stream would overflow ``1 << core`` at core 7.
+    """
     count = walk.residencies
     res_hits = [0] * count
     res_other = [0] * count
     res_cmask = [0] * count
     res_wmask = [0] * count
     fill_core = [0] * count
-    cores, __, ___, writes = stream.columns()
+    cores, __, ___, writes = stream.python_columns()
     ways = walk.ways
     distances = walk.distances
     rids = walk.rids
@@ -399,7 +405,6 @@ def _reconstruct_numpy(walk: LruReplayReconstruction, stream: LlcStream) -> bool
     the core and write masks. Defers to the Python twin for core ids too
     wide for int64 masks (never the case for the paper's 8-core machine).
     """
-    np = require_numpy()
     count = walk.residencies
     if count == 0:
         walk.res_hits = []
@@ -482,9 +487,12 @@ def reconstruct_lru_replay(
 def _replay_observers(
     walk: LruReplayReconstruction, stream: LlcStream, observers: Tuple
 ) -> None:
-    """Emit the exact callback sequence the scalar replay would produce."""
-    pcs = stream.pcs
-    cores = stream.cores
+    """Emit the exact callback sequence the scalar replay would produce.
+
+    Observers receive Python ints, as from the scalar model, whichever
+    loader produced the stream's columns.
+    """
+    cores, pcs, __, ___ = stream.python_columns()
     res_block = walk.res_block
     res_fill = walk.res_fill
     res_way = walk.res_way
@@ -535,11 +543,11 @@ def replay_lru_fastpath(
 ) -> LlcSimResult:
     """Replay ``stream`` under exact LRU via the stack-distance fast path.
 
-    Drop-in replacement for
-    ``LlcOnlySimulator(geometry, LruPolicy(), observers).run(stream)``:
-    same hit/miss/eviction counts, same observer callbacks in the same
-    order. Observer work happens after classification (phase 3), so when
-    no observers are attached the replay is pure classification.
+    Drop-in replacement for an object-model LRU replay
+    (:class:`repro.sim.engine.LlcOnlySimulator`): same hit/miss/eviction
+    counts, same observer callbacks in the same order. Observer work
+    happens after classification (phase 3), so when no observers are
+    attached the replay is pure classification.
     ``profile``, when a dict, receives per-phase wall times (see
     :func:`reconstruct_lru_replay`, plus ``observer_replay``).
     """

@@ -51,21 +51,18 @@ from repro.policies.base import (
 from repro.policies.registry import make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim import telemetry
-from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import (
     VECTORIZE_THRESHOLD,
     _histogram_walk,
     fastpath_enabled,
-    replay_lru_fastpath,
 )
-from repro.sim.nativepath import try_native_replay
+from repro.sim.multipass import run_policy_on_stream
 from repro.sim.results import LlcSimResult
 from repro.sim.setpath import (
     _count_rrip_sync_stacked,
     _run_partitioned,
     partition_stream,
     setpath_tier_of,
-    try_fast_replay,
 )
 
 PolicySpec = Union[str, Callable[[], ReplacementPolicy]]
@@ -188,11 +185,6 @@ def _fresh_instance(policy: PolicySpec, seed: int) -> ReplacementPolicy:
     raise SimulationError(f"not a grid policy spec: {policy!r}")
 
 
-def _scalar_cell(stream, geometry, instance, observers=()) -> LlcSimResult:
-    """Per-cell scalar-model fallback (the PR 5 contract, tier recorded)."""
-    return LlcOnlySimulator(geometry, instance, observers=observers).run(stream)
-
-
 def replay_geometry_grid(
     stream: LlcStream,
     geometries: Sequence[CacheGeometry],
@@ -226,18 +218,13 @@ def replay_geometry_grid(
     if not fastpath_enabled(fastpath) or tier not in (
         REPLAY_STACK, REPLAY_SET, REPLAY_DUELING,
     ):
-        results = []
-        for geometry in geometries:
-            cell = try_fast_replay(
-                stream, geometry, policy if isinstance(policy, str)
-                else _fresh_instance(policy, seed),
-                seed=seed, fastpath=fastpath, use_numpy=use_numpy,
+        results = [
+            run_policy_on_stream(
+                stream, geometry, _fresh_instance(policy, seed),
+                fastpath=fastpath,
             )
-            if cell is None:
-                cell = _scalar_cell(
-                    stream, geometry, _fresh_instance(policy, seed)
-                )
-            results.append(cell)
+            for geometry in geometries
+        ]
         if profile is not None:
             profile["grid_cells"] = len(geometries)
             profile["grid_fallback_cells"] = len(geometries)
@@ -259,7 +246,7 @@ def replay_geometry_grid(
                 cell_start = perf_counter()
                 instance = _fresh_instance(policy, seed)
                 instance.bind(geometry)
-                hits, __ = _run_partitioned(
+                hits = _run_partitioned(
                     part, geometry, instance, None, use_np, profile=profile
                 )
                 results[idx] = LlcSimResult(
@@ -319,9 +306,10 @@ def replay_param_grid(
             )
     results: List[Optional[LlcSimResult]] = [None] * len(instances)
     if not fastpath_enabled(fastpath):
-        for idx, instance in enumerate(instances):
-            results[idx] = _scalar_cell(stream, geometry, instance)
-        return results
+        return [
+            run_policy_on_stream(stream, geometry, instance, fastpath=False)
+            for instance in instances
+        ]
     use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
     tiers = [setpath_tier_of(instance) for instance in instances]
     part = None
@@ -365,7 +353,7 @@ def replay_param_grid(
         if tier in (REPLAY_SET, REPLAY_DUELING):
             cell_start = perf_counter()
             instance.bind(geometry)
-            hits, __ = _run_partitioned(
+            hits = _run_partitioned(
                 part, geometry, instance, None, use_np, profile=profile
             )
             results[idx] = LlcSimResult(
@@ -378,21 +366,14 @@ def replay_param_grid(
                 tier=REPLAY_GRID,
                 backend="numpy" if use_np else "python",
             )
-        elif tier == REPLAY_STACK:
-            results[idx] = replay_lru_fastpath(
-                stream, geometry, use_numpy=use_numpy, profile=profile
-            )
         else:
-            # Scalar-tier variants get the native backend when eligible
-            # (exact unbound SHiP — parameter variants qualify, the kernel
-            # reads each instance's own SHCT geometry); the env escape
-            # hatch and everything else land on the scalar model.
-            native = try_native_replay(
-                stream, geometry, instance, use_numpy=use_numpy,
-                profile=profile,
-            )
-            results[idx] = native if native is not None else _scalar_cell(
-                stream, geometry, instance
+            # Stack- and scalar-tier variants replay independently through
+            # the entry point: the stack walk for LRU, the native backend
+            # for exact unbound SHiP (parameter variants qualify, the
+            # kernel reads each instance's own SHCT geometry), the model
+            # for everything else.
+            results[idx] = run_policy_on_stream(
+                stream, geometry, instance, fastpath=fastpath
             )
     telemetry.emit(
         "span", stage="replay_grid", policy="+".join(

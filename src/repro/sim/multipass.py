@@ -7,6 +7,10 @@ The standard experiment pipeline is:
    LLC;
 2. :func:`run_policy_on_stream` / :func:`run_opt` — replay that stream
    under each policy of interest (all passes see identical accesses).
+
+:func:`run_policy_on_stream` is the one replay entry point of the
+library: fast tier, then native backend, then the object model. Every
+library caller that replays a stream goes through it.
 """
 
 from typing import Optional, Tuple, Union
@@ -16,12 +20,20 @@ from repro.cache.hierarchy import CmpHierarchy, HierarchyStats
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.common.rng import derive_seed
-from repro.policies.base import ReplacementPolicy
+from repro.policies.base import (
+    REPLAY_DUELING,
+    REPLAY_SET,
+    REPLAY_STACK,
+    ReplacementPolicy,
+)
 from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
+from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
+from repro.sim.fastpath import fastpath_enabled, replay_lru_fastpath
+from repro.sim.nativepath import try_native_replay
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import try_fast_replay
+from repro.sim.setpath import replay_setpath, setpath_tier_of
 from repro.trace.trace import Trace
 
 
@@ -56,35 +68,69 @@ def run_policy_on_stream(
     observers: Tuple = (),
     fastpath: Optional[bool] = None,
     native: Optional[bool] = None,
-    kernel_jobs: Optional[int] = None,
 ) -> LlcSimResult:
     """Replay ``stream`` under a policy given by name or instance.
 
-    Replays route through the fastest exact replay tier the policy
-    declares (:func:`repro.sim.setpath.try_fast_replay`): plain LRU takes
-    the stack-distance path, the per-set policy matrix (LIP/BIP/NRU/
-    SRRIP/BRRIP/random) the set-partitioned kernels, and DIP/DRRIP the
-    two-phase dueling reconstruction — all bit-identical to the scalar
-    model. Scalar-tier policies that the native backend covers (exact
-    unbound SHiP, no observers) take its compiled/compact kernel unless
-    ``native`` is False or ``REPRO_SIM_NO_NATIVE`` is set; everything else
-    scalar (wrappers, bound instances), or any replay with ``fastpath``
-    False / ``REPRO_SIM_NO_FASTPATH`` set, goes through the scalar model.
-    ``kernel_jobs`` shards the set-partitioned count kernels across worker
-    threads within one replay (default ``REPRO_SIM_KERNEL_JOBS``); results
-    are bit-identical either way, only ``result.backend`` records the
-    difference.
+    The single replay entry point. It tries, in order:
+
+    1. the fastest exact replay tier the policy declares — plain LRU
+       takes the stack-distance path, the per-set policy matrix
+       (LIP/BIP/NRU/SRRIP/BRRIP/random/OPT) the set-partitioned kernels,
+       and DIP/DRRIP the two-phase dueling reconstruction;
+    2. for scalar-tier policies, the native backend (exact unbound SHiP
+       and annotation-backed oracle wrappers, no observers), unless
+       ``native`` is False or ``REPRO_SIM_NO_NATIVE`` is set;
+    3. the scalar object model (:class:`LlcOnlySimulator`) for everything
+       else, and for every replay when ``fastpath`` is False or
+       ``REPRO_SIM_NO_FASTPATH`` is set.
+
+    All three are bit-identical, observer callbacks included; only
+    ``result.tier``/``result.backend`` record which one ran. ``seed``
+    feeds the standard ``derive_seed(seed, "replay", name)`` stream only
+    when ``policy`` is a name; an instance carries its own seed, so
+    callers with bespoke seed derivations pass instances.
     """
-    result = try_fast_replay(
-        stream, geometry, policy, seed=seed, observers=observers,
-        fastpath=fastpath, native=native, kernel_jobs=kernel_jobs,
+    if isinstance(policy, str):
+        policy = make_policy(policy, seed=derive_seed(seed, "replay", policy))
+    result = _try_fast_replay(
+        stream, geometry, policy, observers, fastpath, native
     )
     if result is not None:
         return result
-    if isinstance(policy, str):
-        policy = make_policy(policy, seed=derive_seed(seed, "replay", policy))
     simulator = LlcOnlySimulator(geometry, policy, observers=observers)
     return simulator.run(stream)
+
+
+def _try_fast_replay(stream, geometry, policy, observers, fastpath,
+                     native) -> Optional[LlcSimResult]:
+    """Replay on a fast tier or the native backend, or ``None``.
+
+    ``None`` is only ever returned before ``policy`` is touched — no
+    binding, no ``set_rng`` draws, no counters written — so the caller's
+    model fallback can replay the very same instance.
+    """
+    if not fastpath_enabled(fastpath):
+        return None
+    tier = setpath_tier_of(policy)
+    if tier == REPLAY_STACK:
+        result = replay_lru_fastpath(stream, geometry, observers=observers)
+    elif tier in (REPLAY_SET, REPLAY_DUELING):
+        if not isinstance(policy, ReplacementPolicy):
+            return None
+        result = replay_setpath(stream, geometry, policy, observers=observers)
+    else:
+        result = try_native_replay(
+            stream, geometry, policy, observers=observers, native=native
+        )
+        if result is None:
+            return None
+    telemetry.emit(
+        "span", stage="replay", policy=result.policy,
+        stream=result.stream_name, wall_sec=round(result.elapsed_sec, 6),
+        accesses=result.accesses, hits=result.hits, misses=result.misses,
+        fastpath=True, tier=result.tier, backend=result.backend,
+    )
+    return result
 
 
 _NEXT_USE_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
@@ -120,11 +166,7 @@ def run_opt(
     column itself is geometry-independent and shared across calls
     (:func:`stream_next_use`).
     """
-    policy = BeladyOptPolicy(stream_next_use(stream))
-    result = try_fast_replay(
-        stream, geometry, policy, observers=observers, fastpath=fastpath
+    return run_policy_on_stream(
+        stream, geometry, BeladyOptPolicy(stream_next_use(stream)),
+        observers=observers, fastpath=fastpath,
     )
-    if result is not None:
-        return result
-    simulator = LlcOnlySimulator(geometry, policy, observers=observers)
-    return simulator.run(stream)

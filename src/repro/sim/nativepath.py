@@ -34,31 +34,26 @@ This module supplies that backend, in three layers:
   stream and the whole protection protocol (victim exemption, synthetic
   promote-hits, budget releases) runs inside the kernel loop. The
   wrapper's study counters are written back onto the instance.
-* **Dispatch** (:func:`try_native_replay`) — called by
-  :func:`repro.sim.setpath.try_fast_replay` when a replay resolves to the
-  scalar tier: exact-type unbound :class:`ShipPolicy` replays with no
+* **Dispatch** (:func:`try_native_replay`) — called by the replay entry
+  point (:func:`repro.sim.multipass.run_policy_on_stream`) when a replay
+  resolves to the scalar tier: exact-type unbound :class:`ShipPolicy` replays with no
   observers route here, as do native-eligible oracle wrappers
   (:func:`oracle_native_spec`); everything else (undeclared subclasses,
   bound instances, live predictor hint sources, observer-carrying
   replays, ``REPRO_SIM_NO_NATIVE``) falls back to the scalar model with
   the chosen backend recorded in the result's ``backend`` provenance
   field.
-
-The module also owns the ``--kernel-jobs`` resolution used by the
-set-partitioned engine's intra-replay sharding
-(:func:`resolve_kernel_jobs`): per-set decomposition plus per-set RNG
-streams make set-tier kernels embarrassingly parallel *within one replay*
-(DESIGN.md decision 11), so :mod:`repro.sim.setpath` can split its per-set
-loop across worker threads exactly.
 """
 
 from time import perf_counter
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
-from repro.common.npsupport import HAVE_NUMPY, require_numpy, should_vectorize
+from repro.common.npsupport import should_vectorize
 from repro.policies.base import REPLAY_SCALAR
 from repro.policies.lru import LruPolicy
 from repro.policies.rrip import SrripPolicy
@@ -70,13 +65,6 @@ NO_NATIVE_ENV = "REPRO_SIM_NO_NATIVE"
 the native scalar-tier backend; SHiP replays then take the scalar model.
 ``=0``/``=false``/``=no`` count as unset, matching every other
 ``REPRO_SIM_*`` toggle.
-"""
-
-KERNEL_JOBS_ENV = "REPRO_SIM_KERNEL_JOBS"
-"""Default intra-replay shard count for set-partitioned kernels.
-
-``--kernel-jobs`` on the CLI exports this so worker processes inherit it;
-``0`` means all cores, unset/invalid means 1 (serial).
 """
 
 BACKEND_MODEL = "model"
@@ -130,26 +118,6 @@ def native_enabled(flag: Optional[bool] = None) -> bool:
     return not env_flag(NO_NATIVE_ENV)
 
 
-def resolve_kernel_jobs(jobs: Optional[int] = None) -> int:
-    """Effective intra-replay shard count (>= 1).
-
-    An explicit ``jobs`` wins; otherwise :data:`KERNEL_JOBS_ENV` supplies
-    the default. ``0`` means all cores; anything unset, unparsable, or
-    negative means serial.
-    """
-    import os
-
-    if jobs is None:
-        raw = os.environ.get(KERNEL_JOBS_ENV, "")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            jobs = 1
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    return max(jobs, 1)
-
-
 # ----------------------------------------------------------------------
 # Signature preparation (vectorized, with a pure-Python twin)
 # ----------------------------------------------------------------------
@@ -157,7 +125,6 @@ def resolve_kernel_jobs(jobs: Optional[int] = None) -> int:
 def _hash_pcs(pcs, mask: int, use_np: bool):
     """Every access's SHCT signature: ``ShipPolicy._hash_pc`` columnwise."""
     if use_np:
-        np = require_numpy()
         column = np.asarray(pcs, dtype=np.int64)
         sigs = ((column >> 2) ^ (column >> 11) ^ (column >> 19)) & mask
         return sigs.tolist()
@@ -306,7 +273,6 @@ def _ship_count_numba(stream: LlcStream, sig_mask: int, num_sets: int,
     same compact-state idea the setpath kernels use, taken one step
     further because nopython code wants arrays, not dicts.
     """  # pragma: no cover - needs numba
-    np = require_numpy()
     __, pcs, blocks, ___ = stream.numpy_columns()
     uniq, ids = np.unique(blocks, return_inverse=True)
     ids = ids.astype(np.int32)
@@ -679,7 +645,6 @@ def _oracle_count_numba(stream: LlcStream, hints, sig_mask: int,
     hint column and the core column (the release protocol compares the
     hitting core against the filler).
     """  # pragma: no cover - needs numba
-    np = require_numpy()
     cores_np, pcs, blocks, __ = stream.numpy_columns()
     uniq, ids = np.unique(blocks, return_inverse=True)
     ids = ids.astype(np.int32)
@@ -752,7 +717,7 @@ def replay_oracle_nativepath(
 ) -> Optional[LlcSimResult]:
     """Replay ``stream`` under an unbound oracle wrapper, natively.
 
-    Classification twin of ``LlcOnlySimulator(geometry, policy).run``:
+    Classification twin of the object-model replay:
     same hit/miss counts *and* the wrapper's study counters
     (``protected_fills``/``exemptions_applied``/``releases``) written back
     onto the instance — :func:`repro.oracle.runner.run_oracle_variants`
@@ -788,10 +753,9 @@ def replay_oracle_nativepath(
         cmax = 0
         sig_mask = 0
         shct = [0]
-    backend = BACKEND_NUMBA if (have_numba() and HAVE_NUMPY) else BACKEND_COMPACT
+    backend = BACKEND_NUMBA if have_numba() else BACKEND_COMPACT
     prep_start = perf_counter()
     if backend == BACKEND_NUMBA:  # pragma: no cover - needs numba
-        np = require_numpy()
         # budgets[i + 1] is access i's hint: one aligned int8 column.
         hints = np.frombuffer(budgets, dtype=np.int32)[1:].astype(np.int8)
         if profile is not None:
@@ -845,9 +809,8 @@ def replay_ship_nativepath(
 ) -> LlcSimResult:
     """Replay ``stream`` under an unbound SHiP instance, natively.
 
-    Drop-in classification twin of
-    ``LlcOnlySimulator(geometry, policy).run(stream)``: same hit/miss
-    counts (differential-tested, including hypothesis streams), recorded
+    Drop-in classification twin of the object-model replay of ``policy``:
+    same hit/miss counts (differential-tested, including hypothesis streams), recorded
     with the scalar tier — this is a faster *backend* for that tier, not
     a new tier — and the kernel that produced the counters in
     ``result.backend``. The policy instance is left unbound (the kernel
@@ -866,7 +829,7 @@ def replay_ship_nativepath(
     cmax = policy.counter_max
     sig_mask = policy.shct_size - 1
     shct = list(policy._shct)  # never mutate the caller's instance
-    backend = BACKEND_NUMBA if (have_numba() and HAVE_NUMPY) else BACKEND_COMPACT
+    backend = BACKEND_NUMBA if have_numba() else BACKEND_COMPACT
     prep_start = perf_counter()
     if backend == BACKEND_NUMBA:  # pragma: no cover - needs numba
         if profile is not None:

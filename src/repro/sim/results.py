@@ -20,9 +20,9 @@ class LlcSimResult:
     further: *which kernel implementation* inside that tier produced the
     counters (``model`` for the scalar object model, ``python``/``numpy``
     for the set-partitioned and fastpath kernels, ``compact``/``numba``
-    for the native scalar backend, with a ``+threads{N}`` suffix when the
-    per-set loop was sharded across worker threads). Like ``tier`` it is
-    excluded from equality.
+    for the native scalar backend). Results come from the one replay entry
+    point, :func:`repro.sim.multipass.run_policy_on_stream`, whichever
+    tier ran. Like ``tier`` it is excluded from equality.
     """
 
     policy: str

@@ -99,12 +99,11 @@ class Trace:
     def numpy_columns(self) -> Tuple:
         """``(tids, pcs, addrs, writes)`` as read-only zero-copy numpy views.
 
-        Raises :class:`RuntimeError` when numpy is unavailable; bulk
-        consumers fall back to :meth:`columns`.
         """
-        from repro.common.npsupport import frozen_view, require_numpy
+        import numpy as np
 
-        np = require_numpy()
+        from repro.common.npsupport import frozen_view
+
         return (
             frozen_view(self._tids, np.int16),
             frozen_view(self._pcs, np.int64),

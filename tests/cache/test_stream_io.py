@@ -5,14 +5,12 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.cache.stream_io as stream_io
 from repro.cache.stream_io import (
     _read_llc_stream_mapped,
     _read_llc_stream_streamed,
     read_llc_stream,
     write_llc_stream,
 )
-from repro.common.npsupport import HAVE_NUMPY
 from repro.common.errors import TraceError
 from repro.trace.io import write_trace
 from repro.trace.trace import Trace
@@ -116,7 +114,6 @@ class TestZeroCopyLoads:
     STREAM = [(i % 4, 0x40 + (i % 3), (i * 7) % 90, i % 5 == 0)
               for i in range(400)]
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_mapped_and_streamed_readers_agree(self, tmp_path):
         stream = make_stream(self.STREAM, name="zc")
         path = tmp_path / "zc.rllc"
@@ -128,7 +125,6 @@ class TestZeroCopyLoads:
         assert mapped.name == streamed.name == "zc"
         assert mapped.num_cores == streamed.num_cores == stream.num_cores
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_plain_load_is_mapped_and_views_the_file(self, tmp_path):
         import numpy as np
 
@@ -140,7 +136,6 @@ class TestZeroCopyLoads:
             assert isinstance(column, np.ndarray)
             assert column.base is not None  # a view, not a copy
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_mapped_stream_reserializes_byte_identically(self, tmp_path):
         stream = make_stream(self.STREAM, name="rt2")
         original = tmp_path / "a.rllc"
@@ -149,7 +144,6 @@ class TestZeroCopyLoads:
         write_llc_stream(read_llc_stream(original), rewritten)
         assert original.read_bytes() == rewritten.read_bytes()
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_gzip_takes_streamed_reader(self, tmp_path):
         import numpy as np
 
@@ -160,16 +154,16 @@ class TestZeroCopyLoads:
         assert not any(isinstance(c, np.ndarray) for c in loaded.columns())
         assert list(loaded) == list(stream)
 
-    def test_numpyless_fallback_equivalent(self, tmp_path, monkeypatch):
+    def test_numpyless_fallback_equivalent(self, tmp_path):
+        # A plain file the mapped reader cannot take falls back to the
+        # streamed reader, whose array.array columns carry no numpy.
         stream = make_stream(self.STREAM, name="nofb")
         path = tmp_path / "n.rllc"
         write_llc_stream(stream, path)
-        monkeypatch.setattr(stream_io, "HAVE_NUMPY", False)
-        loaded = read_llc_stream(path)
+        loaded = _read_llc_stream_streamed(path)
         assert list(loaded) == list(stream)
         assert loaded.num_cores == stream.num_cores
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_empty_file_falls_back_to_streamed_error(self, tmp_path):
         # mmap refuses zero-length files; the fallback reader raises the
         # ordinary truncation error instead of a mapping error.
@@ -178,7 +172,6 @@ class TestZeroCopyLoads:
         with pytest.raises(TraceError, match="truncated header"):
             read_llc_stream(path)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     def test_mapped_replay_matches_builder_replay(self, tmp_path):
         # End to end: a replay over ndarray-backed columns must be
         # indistinguishable from one over the builder's array.array.

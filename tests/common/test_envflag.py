@@ -4,14 +4,13 @@ Historically every toggle tested ``VAR in os.environ`` (or bare
 ``os.environ.get``), so ``VAR=0`` and ``VAR=false`` *enabled* the toggle —
 the opposite of what anyone writing ``REPRO_SIM_NO_FASTPATH=0`` meant.
 :func:`repro.common.envflag.env_flag` centralizes the fix; this file pins
-the value matrix and that the three ``REPRO_SIM_NO_*`` gates actually
+the value matrix and that the ``REPRO_SIM_NO_*`` gates actually
 route through it.
 """
 
 import pytest
 
 from repro.common import FALSE_WORDS, env_flag
-from repro.common.npsupport import NO_NUMPY_ENV
 from repro.sim.fastpath import FASTPATH_ENV, fastpath_enabled
 from repro.sim.nativepath import NO_NATIVE_ENV, native_enabled
 
@@ -79,21 +78,3 @@ class TestNativeGate:
         monkeypatch.setenv(NO_NATIVE_ENV, value)
         assert native_enabled() is False
 
-
-class TestNumpyGate:
-    def test_npsupport_routes_through_env_flag(self):
-        # npsupport evaluates its gate at import time, so the semantics
-        # can't be probed by monkeypatching here; pin the wiring instead.
-        import ast
-        import inspect
-
-        import repro.common.npsupport as npsupport
-
-        tree = ast.parse(inspect.getsource(npsupport))
-        calls = [
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) == "env_flag"
-        ]
-        assert calls, "npsupport no longer gates numpy through env_flag"
-        assert NO_NUMPY_ENV == "REPRO_SIM_NO_NUMPY"

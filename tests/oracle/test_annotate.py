@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.common.npsupport import HAVE_NUMPY
 from repro.oracle.annotate import (
     build_sharing_annotation,
     build_stream_annotation,
@@ -93,10 +92,6 @@ class TestStreamAnnotation:
         assert list(budgets) == expected
 
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-
-@needs_numpy
 class TestStreamAnnotationVectorized:
     """The numpy annotation kernel is bit-identical to the Python scan."""
 

@@ -39,13 +39,11 @@ from repro.policies.base import REPLAY_SCALAR
 from repro.policies.registry import make_policy
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import (
-    KERNEL_JOBS_ENV,
     NO_NATIVE_ENV,
     oracle_native_spec,
     replay_oracle_nativepath,
     try_native_replay,
 )
-from repro.sim.setpath import try_fast_replay
 from tests.conftest import make_stream
 from tests.strategies import SIGNATURE_PCS, replay_stream_lists
 
@@ -56,9 +54,8 @@ GEOMETRY = CacheGeometry(16 * 4 * 64, 4)
 
 @pytest.fixture(autouse=True)
 def _auto_native_gates(monkeypatch):
-    """Pin the native env gates to their unset-auto defaults."""
+    """Pin the native env gate to its unset-auto default."""
     monkeypatch.delenv(NO_NATIVE_ENV, raising=False)
-    monkeypatch.delenv(KERNEL_JOBS_ENV, raising=False)
 
 
 def shared_stream(n=2500, spread=130, cores=4):
@@ -302,9 +299,10 @@ class TestOracleFallbackChain:
     def test_no_fastpath_still_means_pure_model(self):
         stream = shared_stream(400, 30)
         wrapper = make_wrapper("lru", self._budgets(stream))
-        assert try_fast_replay(
+        result = run_policy_on_stream(
             stream, GEOMETRY, wrapper, fastpath=False
-        ) is None
+        )
+        assert result.backend == "model"
 
     def test_profile_records_native_stages(self):
         stream = shared_stream(600, 40)

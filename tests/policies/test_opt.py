@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.npsupport import HAVE_NUMPY
 from repro.policies.opt import NO_NEXT_USE, BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
 from repro.sim.engine import LlcOnlySimulator
@@ -34,10 +33,6 @@ class TestComputeNextUse:
             assert next_use[i] == expected
 
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-
-@needs_numpy
 class TestComputeNextUseVectorized:
     """The numpy kernel must be bit-identical to the Python scan."""
 

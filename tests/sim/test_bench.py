@@ -37,8 +37,6 @@ EXPECTED_CELLS = {
     "warm_replay_ship_scalar",
     "warm_replay_oracle_native",
     "warm_replay_oracle_scalar",
-    "warm_replay_srrip_sharded",
-    "warm_replay_drrip_sharded",
     "warm_sweep_grid",
     "warm_sweep_grid_percell",
     "probed_disabled",

@@ -57,6 +57,9 @@ from tests.strategies import (
 )
 
 BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+REGRESSION_FIXTURE_DIR = (
+    Path(__file__).resolve().parents[1] / "data" / "bench_regression"
+)
 
 FAST = ["--accesses", "3000", "--workloads", "swaptions"]
 
@@ -359,12 +362,21 @@ class TestBenchTrajectory:
                 comparison["recorded_speedup"]
 
     def test_committed_trajectory_contains_known_regression(self, db):
-        """The c3f2b59 golden-throughput drop is real and detected."""
-        ingest_bench_dir(db, BENCH_DIR)
+        """A committed synthetic BENCH pair that halves the golden-cell
+        throughput trips the 10% gate, with its recorded delta reproduced.
+
+        The fixture, not the real trajectory, carries the planted
+        regression: the real trajectory's golden-cell steps are host
+        variance (the cell re-measures flat across those revisions).
+        """
+        ingest_bench_dir(db, REGRESSION_FIXTURE_DIR)
         report = bench_regressions(db, tolerance=0.10)
         assert not report["ok"]
+        assert report["recorded_mismatches"] == 0
         regressed = [c for c in report["comparisons"] if c["regressed"]]
-        assert any(c["rev"].startswith("c3f2b59") for c in regressed)
+        assert [c["rev"] for c in regressed] == ["fixture-slow"]
+        assert regressed[0]["ratio"] == 0.5
+        assert regressed[0]["recorded_matches"] is True
 
     def test_tampered_file_reports_recorded_mismatch(self, tmp_path, db):
         source = json.loads(

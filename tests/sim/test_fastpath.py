@@ -11,14 +11,12 @@ both metadata-reconstruction kernels (numpy and the pure-Python twin).
 
 import os
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.llc import ResidencyObserver
 from repro.characterization.hits import SharingClassifier
 from repro.characterization.phases import SharingPhaseTracker
 from repro.common.config import CacheGeometry
-from repro.common.npsupport import HAVE_NUMPY
 from repro.oracle.residency import FillSharingLog
 from repro.policies.lru import LruPolicy
 from repro.predictors.harness import PredictorHarness
@@ -36,7 +34,6 @@ from repro.sim.multipass import run_policy_on_stream
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
 
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 GEOMETRIES = [
     CacheGeometry(1 * 1 * 64, 1),    # 1 set x 1 way (degenerate)
@@ -99,7 +96,6 @@ class TestEquivalence:
         )
         assert fast_obs.events == slow_obs.events
 
-    @needs_numpy
     @settings(max_examples=40, deadline=None)
     @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
     def test_numpy_kernel_matches_python(self, accesses, geometry_index):
@@ -121,7 +117,6 @@ class TestEquivalence:
         fast = replay_lru_fastpath(stream, geometry)
         assert fast == slow  # LlcSimResult equality excludes timing
 
-    @needs_numpy
     def test_wide_core_ids_defer_to_python(self):
         # Core 63 overflows the int64 mask kernel; the numpy pass must
         # defer rather than produce wrong masks.

@@ -11,7 +11,7 @@ pins the engine's own contracts:
   callback sequence verbatim, argument for argument, for every kernel
   family (and under hypothesis-driven adversarial streams);
 * the walk's degenerate-distance contract;
-* dispatch — :func:`try_fast_replay` takes eligible tiers, declines
+* dispatch — :func:`run_policy_on_stream` takes eligible tiers, declines
   scalar-tier policies, and honours the gate.
 """
 
@@ -28,13 +28,13 @@ from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim.multipass import run_policy_on_stream
 from repro.sim.setpath import (
     partition_stream,
     reconstruct_setpath_replay,
     replay_setpath,
     replay_tier_table,
     setpath_tier_of,
-    try_fast_replay,
 )
 from tests.conftest import make_stream
 from tests.strategies import replay_stream_lists
@@ -232,18 +232,21 @@ class TestDispatch:
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         for policy in ("lru", "srrip", "drrip"):
-            assert try_fast_replay(
+            result = run_policy_on_stream(
                 stream, geometry, policy, fastpath=False
-            ) is None
+            )
+            assert (result.tier, result.backend) == ("scalar", "model")
 
     def test_env_escape_hatch(self, monkeypatch):
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         monkeypatch.setenv(FASTPATH_ENV, "1")
-        assert try_fast_replay(stream, geometry, "srrip") is None
-        assert try_fast_replay(stream, geometry, "srrip", fastpath=True) is not None
+        assert run_policy_on_stream(stream, geometry, "srrip").tier == "scalar"
+        assert run_policy_on_stream(
+            stream, geometry, "srrip", fastpath=True
+        ).tier == "set"
         monkeypatch.delenv(FASTPATH_ENV)
-        assert try_fast_replay(stream, geometry, "srrip") is not None
+        assert run_policy_on_stream(stream, geometry, "srrip").tier == "set"
 
     def test_scalar_tier_takes_native_backend(self, monkeypatch):
         # SHiP resolves to the scalar tier but is covered by the native
@@ -252,15 +255,15 @@ class TestDispatch:
         monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        result = try_fast_replay(stream, geometry, "ship")
-        assert result is not None
+        result = run_policy_on_stream(stream, geometry, "ship")
         assert result.tier == "scalar"
         assert result.backend in ("compact", "numba")
 
     def test_scalar_tier_declines_without_native(self):
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert try_fast_replay(stream, geometry, "ship", native=False) is None
+        result = run_policy_on_stream(stream, geometry, "ship", native=False)
+        assert result.backend == "model"
 
     def test_uncovered_scalar_policies_decline(self):
         # Observer-carrying SHiP replays need the scalar model's residency
@@ -273,27 +276,30 @@ class TestDispatch:
             def residency_started(self, *a): pass
             def residency_ended(self, *a): pass
 
-        assert try_fast_replay(
+        assert run_policy_on_stream(
             stream, geometry, "ship", observers=(Observer(),)
-        ) is None
+        ).backend == "model"
+        # The model binds the instance itself, so a pre-bound one reaching
+        # it fails loudly instead of replaying on a fast tier.
         bound = make_policy("ship", seed=1)
         bound.bind(geometry)
-        assert try_fast_replay(stream, geometry, bound) is None
+        with pytest.raises(SimulationError, match="bound twice"):
+            run_policy_on_stream(stream, geometry, bound)
 
     def test_tiers_are_recorded_on_results(self):
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert try_fast_replay(stream, geometry, "lru").tier == "stack"
-        assert try_fast_replay(stream, geometry, "srrip").tier == "set"
-        assert try_fast_replay(stream, geometry, "dip").tier == "dueling"
+        assert run_policy_on_stream(stream, geometry, "lru").tier == "stack"
+        assert run_policy_on_stream(stream, geometry, "srrip").tier == "set"
+        assert run_policy_on_stream(stream, geometry, "dip").tier == "dueling"
 
     def test_unbound_instance_passes_through(self):
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        result = try_fast_replay(stream, geometry, LruPolicy())
-        assert result is not None and result.tier == "stack"
-        result = try_fast_replay(stream, geometry, SrripPolicy())
-        assert result is not None and result.tier == "set"
+        result = run_policy_on_stream(stream, geometry, LruPolicy())
+        assert result.tier == "stack"
+        result = run_policy_on_stream(stream, geometry, SrripPolicy())
+        assert result.tier == "set"
 
     def test_replay_twice_is_deterministic(self):
         # Per-set RNG streams are pure functions of (seed, set): two

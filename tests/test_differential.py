@@ -31,7 +31,6 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.npsupport import HAVE_NUMPY
 from repro.oracle.annotate import build_stream_annotation
 from repro.policies.opt import compute_next_use
 from repro.policies.registry import POLICY_NAMES, make_policy
@@ -50,11 +49,6 @@ from repro.sim.setpath import (
     setpath_tier_of,
 )
 from tests.conftest import make_stream
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="numpy unavailable: only the pure-Python "
-    "backend exists, nothing to differentiate"
-)
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +199,6 @@ class TestPselReconstruction:
             assert values[bisect_right(positions, p)] == expected, p
 
 
-@needs_numpy
 class TestNumpyVsPython:
     def test_compute_next_use(self, stream):
         vectorized = compute_next_use(stream.blocks, use_numpy=True)
