@@ -5,7 +5,9 @@ Two simulation forms are provided:
 * :class:`CmpHierarchy` — the full online model: per-core private L1/L2
   (LRU, kept coherent through :class:`repro.coherence.Directory`) beneath a
   shared inclusive :class:`SharedLlc`. A run can record the demand stream
-  that reaches the LLC as an :class:`LlcStream`.
+  that reaches the LLC as an :class:`LlcStream`; the recording pipeline
+  uses the bit-identical flattened recorder in
+  :mod:`repro.cache.recorder` instead.
 * LLC-only replay (``repro.sim.engine.LlcOnlySimulator``) over a recorded
   :class:`LlcStream` — the form used for policy comparisons, Belady's OPT
   and the sharing oracle, because it guarantees every policy observes the

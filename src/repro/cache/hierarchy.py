@@ -21,6 +21,11 @@ Protocol, functionally:
   survive LLC evictions (non-inclusive organisation), trading directory
   growth for the removal of inclusion victims — useful for quantifying how
   much of a sharing-heavy workload's LLC traffic is inclusion-induced.
+
+Stream recording for experiments runs :mod:`repro.cache.recorder`, a
+flattened loop that is bit-identical to this model under an LRU, inclusive
+LLC; this class is its differential reference and the instrumented model
+for probes, observers, other LLC policies and non-inclusive studies.
 """
 
 from dataclasses import dataclass, field

@@ -13,7 +13,8 @@ kinds cannot be confused:
              blocks as i64[count], writes as i8[count]
     crc32    u32      CRC-32 of the four column byte blobs (version >= 2)
 
-Paths ending in ``.gz`` are gzip-compressed. Recording a stream costs a
+Paths ending in ``.gz`` are gzip-compressed at level 1
+(:func:`repro.trace.io.open_artifact`). Recording a stream costs a
 full hierarchy pass; persisting it lets sweeps and reruns skip straight to
 replay. The trailing checksum is the integrity backbone of the persistent
 experiment cache (:mod:`repro.sim.experiment`): a corrupted or truncated
@@ -31,7 +32,6 @@ differ — numpy views vs ``array.array`` — but every consumer is
 duck-typed over them, and the equivalence is differential-tested).
 """
 
-import gzip
 import mmap
 import struct
 import zlib
@@ -43,6 +43,7 @@ import numpy as np
 
 from repro.cache.stream import LlcStream
 from repro.common.errors import TraceError
+from repro.trace.io import open_artifact
 
 _MAGIC = b"RLLC"
 _VERSION = 2
@@ -53,19 +54,13 @@ STREAM_FORMAT_VERSION = _VERSION
 """Public format version; part of the persistent experiment-cache key."""
 
 
-def _open(path: Path, mode: str):
-    if path.suffix == ".gz":
-        return gzip.open(path, mode)
-    return open(path, mode)
-
-
 def write_llc_stream(stream: LlcStream, path: Union[str, Path]) -> None:
     """Serialise ``stream`` to ``path`` (gzip when the name ends in .gz)."""
     path = Path(path)
     name_bytes = stream.name.encode("utf-8")
     cores, pcs, blocks, writes = stream.columns()
     checksum = 0
-    with _open(path, "wb") as handle:
+    with open_artifact(path, "wb") as handle:
         handle.write(_HEADER.pack(
             _MAGIC, _VERSION, len(stream), stream.num_cores, len(name_bytes)
         ))
@@ -152,7 +147,7 @@ def _read_llc_stream_mapped(path: Path):
 
 def _read_llc_stream_streamed(path: Path) -> LlcStream:
     """Streamed reader (copies each column blob through ``frombytes``)."""
-    with _open(path, "rb") as handle:
+    with open_artifact(path, "rb") as handle:
         header = handle.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise TraceError(f"{path}: truncated header")

@@ -833,6 +833,7 @@ def cmd_fuzz_triage(args) -> int:
             round(record.get("oracle_gain", 0.0), 4),
             "yes" if record.get("oracle_spike") else "no",
             ("ok" if full["sampled_match"] and full["fastpath_match"]
+             and full.get("recorder_match", True)
              else "MISMATCH") if full else "-",
         ])
     shown = len(rows)
@@ -873,6 +874,8 @@ def cmd_fuzz_replay_cell(args) -> int:
          "yes" if record["sampled_reference_match"] else "NO"],
         ["full tiered matches --no-fastpath",
          "yes" if record["fastpath_match"] else "NO"],
+        ["recorder matches object hierarchy",
+         "yes" if record["recorder_match"] else "NO"],
         ["full oracle gain", round(record["oracle_gain_full"], 4)],
     ]
     for policy, cell in record["full"].items():
@@ -883,7 +886,7 @@ def cmd_fuzz_replay_cell(args) -> int:
         title=f"Full-fidelity replay of {args.cell_id}",
     ))
     ok = (record["sampled_match"] and record["sampled_reference_match"]
-          and record["fastpath_match"])
+          and record["fastpath_match"] and record["recorder_match"])
     if not ok:
         print(f"error: cell {args.cell_id} did NOT reproduce bit-identically",
               file=sys.stderr)

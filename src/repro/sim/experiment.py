@@ -9,8 +9,10 @@ pass) is the expensive step; every replay-based analysis after it is cheap.
 * **on disk**, in a persistent machine-wide cache (default
   ``~/.cache/repro-sim``, overridable via the ``REPRO_SIM_CACHE_DIR``
   environment variable or an explicit ``cache_dir``), keyed by (workload,
-  machine digest, seed, target accesses, stream-format version) so the
-  hierarchy recording pass is paid once per machine — not once per process.
+  machine digest, producer digest, seed, target accesses, stream-format
+  version) so the hierarchy recording pass is paid once per machine — not
+  once per process — and an edit to the code that records streams can
+  never replay a stale one.
   Loads are integrity-checked (stream checksum + stats cross-check); a
   corrupt entry is dropped and re-recorded rather than trusted.
 
@@ -19,6 +21,7 @@ letting independent pytest-benchmark files share them.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -86,6 +89,37 @@ def machine_digest(machine: MachineConfig) -> str:
     """
     payload = repr(dataclasses.astuple(machine)).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
+
+
+PRODUCER_PACKAGES = ("workloads", "trace", "cache", "coherence", "common")
+"""Subpackages of :mod:`repro` whose code produces a recorded stream."""
+
+
+@functools.lru_cache(maxsize=None)
+def producer_digest() -> str:
+    """Short digest of the source code that produces cached artifacts.
+
+    SHA-256 over the relative path and contents of every ``.py`` file
+    under :data:`PRODUCER_PACKAGES` (trace generators, trace statistics,
+    the hierarchy and its recorder, coherence, shared config), in sorted
+    path order. Contents only — no mtimes or absolute paths — so two
+    checkouts of the same code agree. Part of every disk-cache key: an
+    edit to any of those files makes older entries unreachable. Computed
+    once per process.
+    """
+    root = Path(__file__).resolve().parent.parent
+    files = sorted(
+        path.relative_to(root).as_posix()
+        for package in PRODUCER_PACKAGES
+        for path in (root / package).rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for relative in files:
+        digest.update(relative.encode())
+        digest.update(b"\0")
+        digest.update((root / relative).read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()[:12]
 
 
 @dataclass
@@ -179,7 +213,8 @@ class ExperimentContext:
     def _cache_paths(self, name: str) -> Tuple[Path, Path]:
         stem = (
             f"{name}-{self.machine.name}-{machine_digest(self.machine)}"
-            f"-n{self.target_accesses}-s{self.seed}-fv{STREAM_FORMAT_VERSION}"
+            f"-p{producer_digest()}-n{self.target_accesses}-s{self.seed}"
+            f"-fv{STREAM_FORMAT_VERSION}"
         )
         return (
             self.cache_dir / f"{stem}.rllc.gz",
@@ -304,9 +339,7 @@ class ExperimentContext:
             info["accesses"] = len(trace)
         trace_stats = compute_trace_statistics(trace)
         with telemetry.span("hierarchy_record", workload=name) as info:
-            stream, hierarchy_stats = record_llc_stream(
-                trace, self.machine, seed=self.seed
-            )
+            stream, hierarchy_stats = record_llc_stream(trace, self.machine)
             info["accesses"] = hierarchy_stats.accesses
             info["llc_accesses"] = hierarchy_stats.llc_accesses
             info["llc_misses"] = hierarchy_stats.llc_misses

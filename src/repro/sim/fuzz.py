@@ -280,7 +280,7 @@ def scenario_stream(config: FuzzConfig, scenario: Dict):
 
     machine = scenario_machine(scenario)
     trace = scenario_trace(config, scenario)
-    stream, _stats = record_llc_stream(trace, machine, seed=config.seed)
+    stream, _stats = record_llc_stream(trace, machine)
     return stream, machine
 
 
@@ -397,24 +397,35 @@ def replay_scenario_full(
 ) -> Dict:
     """Re-run one scenario at full fidelity with differential cross-checks.
 
-    Four verdicts ride on the returned record:
+    Five verdicts ride on the returned record:
 
+    * ``recorder_match`` — the flattened recorder's stream and
+      :class:`~repro.cache.hierarchy.HierarchyStats` are bit-identical to
+      a re-recording of the scenario trace through the object
+      :class:`~repro.cache.hierarchy.CmpHierarchy`;
     * ``sampled_match`` — the sampled-fidelity counts recomputed now are
       bit-identical to the campaign's (``campaign_policies``, when given);
     * ``sampled_reference_match`` — the extracted-substream replay agrees
       bit-for-bit with the reference :class:`SampledLlcSimulator` walking
       the full stream;
-    * ``fastpath_match`` — the full-fidelity tiered replay agrees
-      bit-for-bit with the ``--no-fastpath`` scalar model, per policy;
+    * ``fastpath_match`` — per policy, the full-fidelity tiered replay
+      agrees bit-for-bit with the ``--no-fastpath`` scalar model: hit and
+      miss counts of the plain replay, and the whole
+      :class:`~repro.characterization.hits.HitBreakdown` of a
+      :class:`~repro.characterization.hits.SharingClassifier` riding on
+      each;
     * probe evidence (``probe_report``) and the full oracle study attach to
       the base policy's full replay.
     """
+    from repro.characterization.hits import SharingClassifier
     from repro.oracle.runner import run_oracle_study
     from repro.policies.registry import make_policy
-    from repro.sim.multipass import run_policy_on_stream
+    from repro.sim.multipass import record_llc_stream, run_policy_on_stream
     from repro.sim.probes import run_probed_replay
 
-    stream, machine = scenario_stream(config, scenario)
+    machine = scenario_machine(scenario)
+    trace = scenario_trace(config, scenario)
+    stream, stats = record_llc_stream(trace, machine)
     offset = SampledLlcSimulator.offset_from_seed(
         config.seed, config.sample_ratio, scenario["id"]
     )
@@ -427,6 +438,7 @@ def replay_scenario_full(
         "sampled_accesses": len(sub),
         "sampled": {},
         "full": {},
+        "recorder_match": _recorder_matches(trace, machine, stream, stats),
         "sampled_match": True,
         "sampled_reference_match": True,
         "fastpath_match": True,
@@ -452,15 +464,26 @@ def replay_scenario_full(
                 prior[key] == getattr(sampled, key)
                 for key in ("accesses", "hits", "misses")
             )
+        # The plain replay keeps the native backend in play (observers
+        # route scalar-tier policies to the model); the classified pair
+        # compares what observers see on the fast tiers.
         fast = run_policy_on_stream(
             stream, machine.llc, policy, seed=config.seed, fastpath=None
         )
+        fast_classifier, scalar_classifier = (
+            SharingClassifier(), SharingClassifier()
+        )
+        run_policy_on_stream(
+            stream, machine.llc, policy, seed=config.seed, fastpath=None,
+            observers=(fast_classifier,),
+        )
         scalar = run_policy_on_stream(
-            stream, machine.llc, policy, seed=config.seed, fastpath=False
+            stream, machine.llc, policy, seed=config.seed, fastpath=False,
+            observers=(scalar_classifier,),
         )
         tier_ok = (fast.accesses, fast.hits, fast.misses) == (
             scalar.accesses, scalar.hits, scalar.misses
-        )
+        ) and fast_classifier.breakdown == scalar_classifier.breakdown
         record["sampled"][policy] = {
             **sampled.as_dict(),
             "reference_match": reference_ok,
@@ -488,6 +511,20 @@ def replay_scenario_full(
         )
         record["probe_report"] = report.as_dict()
     return record
+
+
+def _recorder_matches(trace, machine, stream, stats) -> bool:
+    """Whether ``(stream, stats)`` equal an object-hierarchy recording."""
+    from repro.cache.hierarchy import CmpHierarchy
+    from repro.policies.lru import LruPolicy
+
+    hierarchy = CmpHierarchy(machine, LruPolicy(), record_stream=True)
+    reference_stats = hierarchy.run(trace)
+    reference = hierarchy.stream()
+    return reference_stats == stats and all(
+        ours.tobytes() == theirs.tobytes()
+        for ours, theirs in zip(stream.columns(), reference.columns())
+    )
 
 
 # ----------------------------------------------------------------------
@@ -606,11 +643,13 @@ def run_fuzz_campaign(
             "sampled_match": record["sampled_match"],
             "sampled_reference_match": record["sampled_reference_match"],
             "fastpath_match": record["fastpath_match"],
+            "recorder_match": record["recorder_match"],
         }
         for record in full_records.values()
         if not (record["sampled_match"]
                 and record["sampled_reference_match"]
-                and record["fastpath_match"])
+                and record["fastpath_match"]
+                and record["recorder_match"])
     ]
     telemetry.emit(
         "fuzz_campaign_done", scenarios=len(records),

@@ -16,7 +16,8 @@ library caller that replays a stream goes through it.
 from typing import Optional, Tuple, Union
 from weakref import WeakKeyDictionary
 
-from repro.cache.hierarchy import CmpHierarchy, HierarchyStats
+from repro.cache.hierarchy import HierarchyStats
+from repro.cache.recorder import record_inclusive_lru
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.common.rng import derive_seed
@@ -38,24 +39,17 @@ from repro.trace.trace import Trace
 
 
 def record_llc_stream(
-    trace: Trace,
-    machine: MachineConfig,
-    policy_name: str = "lru",
-    seed: int = 0,
+    trace: Trace, machine: MachineConfig
 ) -> Tuple[LlcStream, HierarchyStats]:
-    """Run the full hierarchy over ``trace`` and record the LLC stream.
+    """Run the baseline hierarchy over ``trace`` and record the LLC stream.
 
-    Args:
-        trace: interleaved multi-thread trace.
-        machine: CMP configuration.
-        policy_name: LLC policy used *during recording* (LRU by default;
-            the recorded stream is then replayed under other policies).
-        seed: seed for stochastic recording policies.
+    The baseline is the paper's: private L1/L2 per core under an inclusive
+    LRU LLC. The recorded stream is then replayed under every other policy.
+    Bit-identical to ``CmpHierarchy(machine, LruPolicy(),
+    record_stream=True)``, through the flattened recorder
+    (:func:`repro.cache.recorder.record_inclusive_lru`).
     """
-    policy = make_policy(policy_name, seed=derive_seed(seed, "record", policy_name))
-    hierarchy = CmpHierarchy(machine, policy, record_stream=True)
-    stats = hierarchy.run(trace)
-    stream = hierarchy.stream()
+    stream, stats = record_inclusive_lru(trace, machine)
     stream.name = f"{trace.name}@{machine.name}"
     return stream, stats
 

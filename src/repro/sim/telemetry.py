@@ -359,8 +359,8 @@ def describe_environment(context=None) -> Dict:
     """Library-version and tier fields for the manifest.
 
     ``context`` (an :class:`~repro.sim.experiment.ExperimentContext`)
-    contributes machine digest, workloads, seed, budget, and the resolved
-    fast-path gate.
+    contributes machine and producer digests, workloads, seed, budget, and
+    the resolved fast-path gate.
     """
     import repro
     from repro.common.npsupport import numpy
@@ -375,11 +375,12 @@ def describe_environment(context=None) -> Dict:
         "native_backend": native_enabled(),
     }
     if context is not None:
-        from repro.sim.experiment import machine_digest
+        from repro.sim.experiment import machine_digest, producer_digest
 
         fields.update(
             machine=context.machine.name,
             machine_digest=machine_digest(context.machine),
+            producer_digest=producer_digest(),
             llc=context.geometry.describe(),
             num_cores=context.machine.num_cores,
             workloads=list(context.workload_list),

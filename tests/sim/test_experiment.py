@@ -1,9 +1,16 @@
 """Tests for experiment orchestration and caching."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.common.errors import ConfigError
+from repro.sim import experiment
 from repro.sim.experiment import ExperimentContext, shared_context
 
 
@@ -157,6 +164,81 @@ class TestDiskCache:
         )
         third.artifacts("water")
         assert third.cache_stats.disk_hits == 1
+
+
+class TestProducerDigest:
+    """The cache key names the code that recorded the stream."""
+
+    def _context(self, machine, cache_dir):
+        return ExperimentContext(
+            machine, target_accesses=3_000, seed=7,
+            workloads=["water"], cache_dir=cache_dir,
+        )
+
+    def test_digest_is_short_stable_hex(self):
+        digest = experiment.producer_digest()
+        assert len(digest) == 12
+        int(digest, 16)
+        assert experiment.producer_digest() == digest
+
+    def test_digest_is_in_the_cache_key(self, tiny_machine, tmp_path):
+        stream_path, stats_path = self._context(
+            tiny_machine, tmp_path)._cache_paths("water")
+        tag = f"-p{experiment.producer_digest()}-"
+        assert tag in stream_path.name and tag in stats_path.name
+
+    def test_changed_digest_forces_a_rerecord(self, tiny_machine, tmp_path,
+                                              monkeypatch):
+        original = self._context(tiny_machine, tmp_path).artifacts("water")
+        monkeypatch.setattr(experiment, "producer_digest",
+                            lambda: "0123456789ab")
+        edited = self._context(tiny_machine, tmp_path)
+        rerecorded = edited.artifacts("water")
+        assert edited.cache_stats.disk_hits == 0
+        assert edited.cache_stats.recordings == 1
+        assert len(list(tmp_path.glob("*.rllc.gz"))) == 2
+        assert rerecorded.hierarchy_stats == original.hierarchy_stats
+
+    def test_second_process_hits_the_disk(self, tiny_machine, tmp_path):
+        self._context(tiny_machine, tmp_path).artifacts("water")
+        script = (
+            "import json, sys\n"
+            "from repro.common.config import CacheGeometry, MachineConfig\n"
+            "from repro.sim import experiment\n"
+            "machine = MachineConfig(name='tiny', num_cores=2,"
+            " l1=CacheGeometry(512, 4), l2=CacheGeometry(1024, 4),"
+            " llc=CacheGeometry(4096, 8), scale=1024)\n"
+            "context = experiment.ExperimentContext(machine,"
+            " target_accesses=3_000, seed=7, workloads=['water'],"
+            " cache_dir=sys.argv[1])\n"
+            "context.artifacts('water')\n"
+            "print(json.dumps([experiment.producer_digest(),"
+            " context.cache_stats.as_dict()]))\n"
+        )
+        src = Path(experiment.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        output = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        digest, stats = json.loads(output)
+        assert digest == experiment.producer_digest()
+        assert stats["disk_hits"] == 1
+        assert stats["recordings"] == 0
+
+    def test_unreachable_entries_are_listed_and_swept(self, tmp_path):
+        legacy = tmp_path / "water-tiny-0123456789ab-n3000-s7-fv2.rllc.gz"
+        legacy.write_bytes(b"old")
+        assert [path for path, __ in experiment.cache_entries(tmp_path)] \
+            == [legacy]
+        assert experiment.clear_cache(tmp_path) == 1
+        assert not legacy.exists()
+
+    def test_manifest_records_the_digest(self, context):
+        from repro.sim.telemetry import describe_environment
+
+        fields = describe_environment(context)
+        assert fields["producer_digest"] == experiment.producer_digest()
 
 
 class TestMemoryBounds:

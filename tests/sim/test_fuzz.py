@@ -232,6 +232,7 @@ class TestFullFidelityDifferential:
         assert full["sampled_reference_match"], \
             "substream replay != reference SampledLlcSimulator"
         assert full["fastpath_match"], "tiered replay != scalar model"
+        assert full["recorder_match"], "recorder != object hierarchy"
         for policy in SMALL.policies:
             assert full["sampled"][policy]["reference_match"]
             assert full["full"][policy]["fastpath_match"]
@@ -242,6 +243,43 @@ class TestFullFidelityDifferential:
         full = replay_scenario_full(SMALL, scenario, probes=("sharing",))
         assert "probe_report" in full
         assert full["oracle_gain_full"] >= 0.0
+
+    def test_recorder_divergence_is_caught(self, monkeypatch):
+        from repro.sim import multipass
+
+        record = multipass.record_inclusive_lru
+
+        def off_by_one(trace, machine):
+            stream, stats = record(trace, machine)
+            stats.writebacks += 1
+            return stream, stats
+
+        monkeypatch.setattr(multipass, "record_inclusive_lru", off_by_one)
+        full = replay_scenario_full(SMALL, sample_scenario(SMALL, 0),
+                                    probes=())
+        assert not full["recorder_match"]
+        assert full["fastpath_match"]
+
+    def test_classification_divergence_is_caught(self, monkeypatch):
+        # A fast tier whose hit/miss counts are right but whose observer
+        # stream is not: one extra shared residency reaches the classifier.
+        from repro.sim import multipass
+
+        fast = multipass._try_fast_replay
+
+        def misclassifying(stream, geometry, policy, observers, *args):
+            result = fast(stream, geometry, policy, observers, *args)
+            if result is not None:
+                for observer in observers:
+                    observer.residency_ended(0, 0, 1, 2, 0, 0, 0b11, 0, 1, 1,
+                                             True)
+            return result
+
+        monkeypatch.setattr(multipass, "_try_fast_replay", misclassifying)
+        full = replay_scenario_full(SMALL, sample_scenario(SMALL, 0),
+                                    probes=())
+        assert not full["fastpath_match"]
+        assert full["recorder_match"]
 
     def test_stale_campaign_counts_are_caught(self):
         scenario = sample_scenario(SMALL, 0)
@@ -280,6 +318,7 @@ class TestCampaign:
             assert record["sampled_match"]
             assert record["sampled_reference_match"]
             assert record["fastpath_match"]
+            assert record["recorder_match"]
 
     def test_campaign_is_deterministic(self, corpus):
         # Everything except wall-clock profile timings inside probe
