@@ -195,16 +195,10 @@ def _add_db_argument(parser: argparse.ArgumentParser) -> None:
 def _add_fastpath_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-fastpath", action="store_true",
-        help="force the scalar cache model even for replay-tier-eligible "
-             "policies (LRU stack-distance and the set-partitioned "
-             "RRIP/DIP/NRU/random/OPT tiers; results are bit-identical, "
-             "this only trades speed)",
-    )
-    parser.add_argument(
-        "--no-native", action="store_true",
-        help="disable the native scalar-tier backend (numba/compact SHiP "
-             "kernels); scalar-tier replays take the object model instead "
-             "(results are bit-identical, this only trades speed)",
+        help="force the scalar cache model for every replay (the LRU "
+             "stack-distance tier, the set-partitioned "
+             "RRIP/DIP/NRU/random/OPT tiers and the native SHiP/oracle "
+             "backend; results are bit-identical, this only trades speed)",
     )
 
 
@@ -260,13 +254,6 @@ def _context(args) -> ExperimentContext:
         args.profile, args.accesses, args.seed, cache_dir=_cache_spec(args)
     )
     context.fastpath = _fastpath_spec(args)
-    # Exported as environment rather than threaded through the context so
-    # worker processes (pool initializer re-reads os.environ) and every
-    # library entry point see the same gates.
-    if getattr(args, "no_native", False):
-        from repro.sim.nativepath import NO_NATIVE_ENV
-
-        os.environ[NO_NATIVE_ENV] = "1"
     if args.workloads:
         unknown = set(args.workloads) - set(workload_names())
         if unknown:

@@ -23,10 +23,9 @@ once and excluded):
   that stops being *faster* than its twin has silently fallen back.
 * ``warm_replay_ship``         — SHiP is scalar-tier by design (globally
   coupled SHCT); on its default auto gate it now takes the native scalar
-  backend (:mod:`repro.sim.nativepath` — numba when importable, the
-  compact pure-Python kernel otherwise). ``warm_replay_ship_native``
-  forces the native backend explicitly and ``warm_replay_ship_scalar``
-  forces the object model; the CI smoke gate bounds that pair's speedup
+  backend (:mod:`repro.sim.nativepath`, the compact pure-Python kernel).
+  ``warm_replay_ship_native`` forces the native backend explicitly and
+  ``warm_replay_ship_scalar`` forces the object model; the CI smoke gate bounds that pair's speedup
   from below (:data:`NATIVEPATH_GATE_PAIRS` /
   ``--min-nativepath-speedup``) — the native kernel is bit-identical to
   the model, so losing the speedup means the scalar tier silently
@@ -87,7 +86,6 @@ from repro.policies.registry import make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim.gridpath import replay_lru_grid, replay_param_grid
 from repro.sim.multipass import run_policy_on_stream
-from repro.sim.nativepath import have_numba
 from repro.sim.probes import run_probed_replay
 
 BENCH_FORMAT_VERSION = 1
@@ -388,7 +386,6 @@ def run_bench(
         "seed": context.seed,
         "python_version": platform.python_version(),
         "numpy_available": True,
-        "numba_available": have_numba(),
         "cells": cells,
         "disabled_probe_overhead": overhead,
         "setpath_speedups": setpath_speedups(cells),

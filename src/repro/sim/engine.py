@@ -12,7 +12,7 @@ replay tier: the stack fast path, the set-partitioned and dueling kernels
 what this loop produces — hit/miss counts, per-set decision order, and
 (for the oracle wrapper) the study counters. Results therefore carry
 provenance: this simulator stamps ``backend="model"``; accelerated paths
-stamp their tier/backend (``compact``/``numba``/``numpy``/``python``).
+stamp their tier/backend (``compact``/``numpy``/``python``).
 Library callers reach this loop through the one replay entry point,
 :func:`repro.sim.multipass.run_policy_on_stream`, which tries the fast
 tiers and the native backend first; disabling the accelerations

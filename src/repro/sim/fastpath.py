@@ -43,7 +43,7 @@ else replays through the scalar model. ``REPRO_SIM_NO_FASTPATH=1`` (or
 
 from array import array
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -158,67 +158,24 @@ class LruReplayReconstruction:
         return len(self.res_block)
 
 
-def lru_stack_distances(
-    blocks: Sequence[int], num_sets: int, ways: int
-) -> array:
-    """Capped per-set LRU stack distance of every access.
+def _histogram_walk(blocks: List[int], num_sets: int, ways: int) -> List[int]:
+    """Histogram of capped per-set LRU stack distances, in one walk.
 
-    Returns an ``array('i')``: exact distances in ``[0, ways)`` for hits
-    and the sentinel ``ways`` for any access whose distance is ``>= ways``
-    (cold misses included). ``hit iff distances[i] < ways`` is the exact
-    outcome of a ``ways``-way LRU replay — and, by Mattson inclusion,
-    ``hit iff distances[i] < w`` is the exact outcome for **every**
-    ``w <= ways`` at the same ``num_sets``, which is what the grid layer
-    (:mod:`repro.sim.gridpath`) thresholds a whole associativity sweep
-    against.
-    """
-    return _distance_walk(list(blocks), num_sets, ways)
+    ``result[d]`` counts accesses at stack distance ``d < ways``;
+    ``result[ways]`` counts every access whose distance is ``>= ways``
+    (cold misses included). By Mattson inclusion an access hits a
+    ``w``-way LRU cache iff its distance is ``< w``, for **every**
+    ``w <= ways`` at the same ``num_sets`` — so a cumulative sum of this
+    histogram is the exact hit count of a whole associativity sweep,
+    which is what the grid layer (:mod:`repro.sim.gridpath`) uses it for.
 
-
-def _distance_walk(blocks: List[int], num_sets: int, ways: int) -> array:
-    """Distances-only stack walk (no residency skeleton).
-
-    The middle ground between :func:`_count_walk` (counters only) and
-    :func:`_stack_walk` (full skeleton): per-set stack lists plus the
-    capped distance of every access, skipping the residency id/way
-    bookkeeping nothing distance-driven needs. Two deviations from the
-    sibling walks, both because grid walks run at the *largest*
-    associativity of the grid: the lists are kept MRU-first, so
-    ``st.index`` both *is* the stack distance and terminates after
-    ``distance`` comparisons (temporally local accesses resolve in a
+    Two deviations from the sibling walks, both because grid walks run at
+    the *largest* associativity of the grid: the per-set lists are kept
+    MRU-first, so ``st.index`` both *is* the stack distance and terminates
+    after ``distance`` comparisons (temporally local accesses resolve in a
     couple of steps instead of scanning most of a ``ways``-deep stack),
     and membership is tested against a per-set ``set`` shadow, so a miss
     costs one O(1) probe instead of a full-stack scan.
-    """
-    set_mask = num_sets - 1
-    distances = array("i", bytes(4 * len(blocks)))
-    stacks = [[] for __ in range(num_sets)]
-    members = [set() for __ in range(num_sets)]
-    for i, block in enumerate(blocks):
-        s = block & set_mask
-        st = stacks[s]
-        if block in members[s]:
-            idx = st.index(block)
-            distances[i] = idx
-            del st[idx]
-        else:
-            distances[i] = ways
-            mem = members[s]
-            if len(st) == ways:
-                mem.discard(st.pop())
-            mem.add(block)
-        st.insert(0, block)
-    return distances
-
-
-def _histogram_walk(blocks: List[int], num_sets: int, ways: int) -> List[int]:
-    """Stack walk reduced to the capped-distance histogram in-loop.
-
-    The same MRU-first, set-shadowed walk as :func:`_distance_walk`, but
-    all a ways grid needs is the *histogram* of capped distances — so the
-    per-access distance store collapses to a counter increment and no
-    distances array is materialized. ``result[d]`` counts accesses at
-    stack distance ``d``; ``result[ways]`` counts the capped misses.
     """
     set_mask = num_sets - 1
     counts = [0] * (ways + 1)

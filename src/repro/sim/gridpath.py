@@ -79,7 +79,6 @@ def lru_grid_hits(
     blocks: Sequence[int],
     num_sets: int,
     ways_grid: Sequence[int],
-    use_numpy: Optional[bool] = None,
 ) -> Dict[int, int]:
     """Exact LRU hit counts for every associativity in ``ways_grid`` at once.
 
@@ -87,11 +86,9 @@ def lru_grid_hits(
     per-set stack distance; by Mattson inclusion ``hit iff distance < w``
     for each ``w``, so the whole grid reduces to a distance histogram and
     one cumulative-sum threshold per cell. Returns ``{ways: hits}``.
-
-    ``use_numpy`` is accepted for signature symmetry with the other grid
-    entry points but unused: the walk accumulates the histogram in-loop
+    The walk accumulates the histogram in-loop
     (:func:`repro.sim.fastpath._histogram_walk`) and the cumulative sum is
-    over ``cap + 1`` integers, so there is nothing left to vectorize.
+    over ``cap + 1`` integers, so there is nothing to vectorize.
     """
     if not ways_grid:
         return {}
@@ -120,7 +117,6 @@ def _group_by_num_sets(geometries) -> Dict[int, List[int]]:
 def replay_lru_grid(
     stream: LlcStream,
     geometries: Sequence[CacheGeometry],
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> List[LlcSimResult]:
     """Replay ``stream`` under exact LRU for every geometry in one pass each.
@@ -141,7 +137,6 @@ def replay_lru_grid(
             stream.blocks,
             num_sets,
             sorted({geometries[idx].ways for idx in indices}),
-            use_numpy=use_numpy,
         )
         elapsed = perf_counter() - start
         walk_sec += elapsed
@@ -230,9 +225,7 @@ def replay_geometry_grid(
             profile["grid_fallback_cells"] = len(geometries)
         return results
     if tier == REPLAY_STACK:
-        results = replay_lru_grid(
-            stream, geometries, use_numpy=use_numpy, profile=profile
-        )
+        results = replay_lru_grid(stream, geometries, profile=profile)
     else:
         use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
         results = [None] * len(geometries)

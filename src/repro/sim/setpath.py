@@ -22,12 +22,15 @@ replay therefore decomposes exactly:
    draw indices depend only on its own fill sequence. Count-mode SRRIP
    goes one step further: it is deterministic, so all sets advance in
    lockstep through one synchronous numpy kernel over a padded
-   set-by-position block matrix (:func:`_count_rrip_sync`).
+   set-by-position block matrix (:func:`_count_rrip_sync_stacked`, the
+   same kernel the SRRIP parameter grid stacks its variants in).
 3. **Two-phase dueling** (DIP/DRRIP) — sets couple only through the PSEL
    counter, and only leader sets write it. Replay leaders first (their
    behaviour is role-based, never PSEL-dependent), merge their miss
    positions into the exact PSEL time-series, then replay followers
-   reading the reconstructed winner flag at each fill position.
+   reading the reconstructed winner flag at each fill position. Both
+   phases run the plain replay's per-set kernels — one kernel per family
+   takes the role arguments (leader miss recording, follower flags).
 
 Policies with genuinely global state — SHiP's SHCT is trained by every
 set's fills, hits, and evictions — have no exact decomposition and stay on
@@ -219,13 +222,24 @@ def partition_stream(
 # Phase 2a: count kernels (classification only, no residency skeleton)
 # ----------------------------------------------------------------------
 
-def _count_rrip(seg, ways, rmax, rng, throttle) -> int:
-    """SRRIP (``rng`` None) / BRRIP count kernel for one set."""
+def _count_rrip(seg, pos, ways, rmax, bimodal, rng, throttle, use_b,
+                fills) -> int:
+    """RRIP count kernel for one set: plain, leader, or follower.
+
+    Plain SRRIP/BRRIP and DRRIP leaders pass ``use_b=None``: ``bimodal``
+    fixes the insertion (False = SRRIP, True = BRRIP drawing from
+    ``rng``). Leaders also pass a ``fills`` list that receives every
+    miss's global position from ``pos``; plain replays pass ``pos`` and
+    ``fills`` as None. Followers pass the per-access ``use_b`` flags
+    reconstructed from the PSEL series.
+    """
     way_of = {}
     blk = [0] * ways
     rrpv = [rmax] * ways
     filled = 0
     hits = 0
+    misses = 0
+    roles = use_b is not None or fills is not None
     get = way_of.get
     for block in seg:
         way = get(block)
@@ -233,6 +247,15 @@ def _count_rrip(seg, ways, rmax, rng, throttle) -> int:
             rrpv[way] = 0
             hits += 1
             continue
+        if roles:
+            # A miss's index in seg is the accesses before it: hits +
+            # misses. Deriving it here keeps the plain loop index-free.
+            idx = hits + misses
+            misses += 1
+            if fills is not None:
+                fills.append(pos[idx])
+            if use_b is not None:
+                bimodal = use_b[idx]
         if filled < ways:
             way = filled
             filled += 1
@@ -246,7 +269,7 @@ def _count_rrip(seg, ways, rmax, rng, throttle) -> int:
                     rrpv[w] += delta
             way = rrpv.index(rmax)
             del way_of[blk[way]]
-        if rng is None or rng.randrange(throttle) == 0:
+        if not bimodal or rng.randrange(throttle) == 0:
             rrpv[way] = rmax - 1
         else:
             rrpv[way] = rmax
@@ -255,92 +278,35 @@ def _count_rrip(seg, ways, rmax, rng, throttle) -> int:
     return hits
 
 
-def _count_rrip_sync(part: StreamPartition, ways: int, rmax: int) -> int:
-    """Synchronous vectorized SRRIP count kernel: all sets step together.
-
-    SRRIP is deterministic (no RNG draws), so its per-set recurrence can
-    run as one numpy computation over a padded ``(num_sets, longest_set)``
-    block matrix: step ``i`` processes every set's ``i``-th access at
-    once. State is a resident-block matrix and an RRPV matrix; hit
-    detection is an equality broadcast, the +1-until-saturated aging
-    rounds collapse to one per-row delta (same algebra as
-    :func:`_count_rrip`), and the victim is each row's first RRPV-max way.
-    Per-access Python overhead amortizes across all sets, which is where
-    the set tier's headroom over the per-set list kernels comes from.
-
-    Padding uses ``-1`` (block addresses are non-negative) and the
-    resident matrix also initializes to ``-1``; ``active`` masks padded
-    lanes out of hit detection so a padded ``-1`` can never "hit" a
-    still-cold way, and misses are masked the same way so padded lanes
-    never fill.
-    """
-    starts = np.asarray(part.starts, dtype=np.int64)
-    lens = np.diff(starts)
-    if len(lens) == 0 or part.blocks_np is None:
-        return 0
-    maxlen = int(lens.max())
-    num_sets = part.num_sets
-    seg = np.full((num_sets, maxlen), -1, dtype=np.int64)
-    col = np.arange(maxlen)
-    # Row-major boolean fill matches per-set order because blocks_np is
-    # grouped by set with each set's subsequence in stream order.
-    seg[col[None, :] < lens[:, None]] = part.blocks_np
-    blk = np.full((num_sets, ways), -1, dtype=np.int64)
-    rrpv = np.full((num_sets, ways), rmax, dtype=np.int64)
-    filled = np.zeros(num_sets, dtype=np.int64)
-    rows = np.arange(num_sets)
-    hits = 0
-    for i in range(maxlen):
-        b = seg[:, i]
-        active = b >= 0
-        match = blk == b[:, None]
-        is_hit = match.any(axis=1) & active
-        hit_rows = rows[is_hit]
-        if hit_rows.size:
-            hit_ways = match[is_hit].argmax(axis=1)
-            rrpv[hit_rows, hit_ways] = 0
-            hits += hit_rows.size
-        miss = active & ~is_hit
-        if not miss.any():
-            continue
-        miss_rows = rows[miss]
-        fill_count = filled[miss_rows]
-        cold = fill_count < ways
-        way = np.empty(miss_rows.size, dtype=np.int64)
-        way[cold] = fill_count[cold]
-        filled[miss_rows[cold]] += 1
-        full_rows = miss_rows[~cold]
-        if full_rows.size:
-            sub = rrpv[full_rows]
-            top = sub.max(axis=1)
-            sub += (rmax - top)[:, None]
-            way[~cold] = (sub == rmax).argmax(axis=1)
-            rrpv[full_rows] = sub
-        rrpv[miss_rows, way] = rmax - 1
-        blk[miss_rows, way] = b[miss_rows]
-    return hits
-
-
 def _count_rrip_sync_stacked(
     part: StreamPartition, ways: int, configs
 ) -> List[int]:
-    """Stacked synchronous SRRIP kernel: every parameter variant at once.
+    """Synchronous vectorized SRRIP count kernel: all sets, all variants.
+
+    SRRIP is deterministic (no RNG draws), so its per-set recurrence runs
+    as one numpy computation over a padded ``(num_sets, longest_set)``
+    block matrix: step ``i`` processes every set's ``i``-th access at
+    once. Hit detection is an equality broadcast, the +1-until-saturated
+    aging rounds collapse to one per-row delta (same algebra as
+    :func:`_count_rrip`), and the victim is each row's first RRPV-max way.
+    Padding and the cold resident matrix both use ``-1``; padded lanes are
+    masked out of hit detection and fills, so a padded ``-1`` never "hits"
+    a still-cold way. Per-access Python overhead amortizes across all
+    sets, which is where the set tier's headroom over the per-set list
+    kernels comes from.
 
     ``configs`` is a sequence of ``(rmax, insertion_rrpv)`` pairs — one per
-    grid variant. State generalizes :func:`_count_rrip_sync` by a leading
-    variant axis flattened into the row dimension: row ``v * num_sets + s``
-    is variant ``v``'s copy of set ``s``. Each step broadcasts the same
-    block column to every variant (``np.tile``); per-row ``rmax``/insertion
-    vectors (``np.repeat`` over the variant axis) parameterize the aging
-    and fill updates; per-variant hits come back from one ``bincount`` over
-    ``row // num_sets``. The per-step Python overhead — the reason a warm
-    parameter sweep used to cost one full replay per variant — is paid once
-    for the whole grid.
-
-    Exactness: variants never interact (disjoint row blocks), so each
-    variant's rows step through exactly the recurrence its own
-    :func:`_count_rrip_sync` run would — the differential suite pins
-    bit-identity per variant.
+    variant; a plain SRRIP replay is the single variant ``(rmax, rmax -
+    1)``. The variant axis is flattened into the row dimension: row
+    ``v * num_sets + s`` is variant ``v``'s copy of set ``s``. Each step
+    broadcasts the same block column to every variant (``np.tile``);
+    per-row ``rmax``/insertion vectors (``np.repeat`` over the variant
+    axis) parameterize the aging and fill updates. The per-step Python
+    overhead — the reason a warm parameter sweep used to cost one full
+    replay per variant — is paid once for the whole grid. Variants never
+    interact (disjoint row blocks), so each variant's rows step through
+    exactly the recurrence a single-variant run would — the differential
+    suite pins bit-identity per variant.
 
     Two representation changes keep the stacked step from costing what
     ``nv`` independent steps would:
@@ -413,94 +379,37 @@ def _count_rrip_sync_stacked(
     return [int(h) for h in hits]
 
 
-def _count_rrip_roles(seg, pos, ways, rmax, bimodal, rng, throttle,
-                      use_b, fills) -> int:
-    """DRRIP leader/follower count kernel for one set.
+def _count_recency(seg, pos, ways, mode, rng, throttle, use_b,
+                   fills) -> int:
+    """Recency-family count kernel: plain LRU/LIP/BIP, DIP leader, follower.
 
-    Leaders pass ``use_b=None`` (``bimodal`` fixes the role: False = SRRIP
-    constituent A, True = BRRIP constituent B) and a ``fills`` list that
-    receives every miss's global position. Followers pass the per-access
-    ``use_b`` flags reconstructed from the PSEL series.
+    Residents are kept in LRU→MRU stamp order. The role arguments follow
+    :func:`_count_rrip`: ``mode`` fixes the insertion when ``use_b`` is
+    None, followers pass per-access ``use_b`` flags (BIP when set, else
+    MRU), and leaders pass a ``fills`` list for their miss positions.
     """
-    way_of = {}
-    blk = [0] * ways
-    rrpv = [rmax] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        way = get(block)
-        if way is not None:
-            rrpv[way] = 0
-            hits += 1
-            continue
-        if fills is not None:
-            fills.append(pos[idx])
-        if filled < ways:
-            way = filled
-            filled += 1
-        else:
-            top = max(rrpv)
-            if top != rmax:
-                delta = rmax - top
-                for w in range(ways):
-                    rrpv[w] += delta
-            way = rrpv.index(rmax)
-            del way_of[blk[way]]
-        b = bimodal if use_b is None else use_b[idx]
-        if not b or rng.randrange(throttle) == 0:
-            rrpv[way] = rmax - 1
-        else:
-            rrpv[way] = rmax
-        blk[way] = block
-        way_of[block] = way
-    return hits
-
-
-def _count_recency(seg, ways, mode, rng, throttle) -> int:
-    """LRU/LIP/BIP count kernel: residents kept in LRU→MRU stamp order."""
     st: List[int] = []
     hits = 0
+    misses = 0
+    roles = use_b is not None or fills is not None
     for block in seg:
         if block in st:
             st.remove(block)
             st.append(block)
             hits += 1
             continue
+        if roles:
+            idx = hits + misses  # see _count_rrip
+            misses += 1
+            if fills is not None:
+                fills.append(pos[idx])
+            if use_b is not None:
+                mode = _MODE_BIP if use_b[idx] else _MODE_MRU
         if len(st) == ways:
             del st[0]
         if mode == _MODE_MRU:
             st.append(block)
         elif mode == _MODE_LIP:
-            st.insert(0, block)
-        elif rng.randrange(throttle) == 0:
-            st.append(block)
-        else:
-            st.insert(0, block)
-    return hits
-
-
-def _count_recency_roles(seg, pos, ways, mode, rng, throttle,
-                         use_b, fills) -> int:
-    """DIP leader/follower count kernel (see :func:`_count_rrip_roles`)."""
-    st: List[int] = []
-    hits = 0
-    for idx in range(len(seg)):
-        block = seg[idx]
-        if block in st:
-            st.remove(block)
-            st.append(block)
-            hits += 1
-            continue
-        if fills is not None:
-            fills.append(pos[idx])
-        if len(st) == ways:
-            del st[0]
-        m = mode if use_b is None else (_MODE_BIP if use_b[idx] else _MODE_MRU)
-        if m == _MODE_MRU:
-            st.append(block)
-        elif m == _MODE_LIP:
             st.insert(0, block)
         elif rng.randrange(throttle) == 0:
             st.append(block)
@@ -1017,7 +926,7 @@ def _leader_pass(part: StreamPartition, geometry: CacheGeometry,
         if family == _FAMILY_RRIP:
             rmax = policy.rrpv_max
             if buf is None:
-                hits += _count_rrip_roles(
+                hits += _count_rrip(
                     seg, pos, ways, rmax, is_b, rng, throttle, None, fills
                 )
             else:
@@ -1028,7 +937,7 @@ def _leader_pass(part: StreamPartition, geometry: CacheGeometry,
         else:
             mode = _MODE_BIP if is_b else _MODE_MRU
             if buf is None:
-                hits += _count_recency_roles(
+                hits += _count_recency(
                     seg, pos, ways, mode, rng, throttle, None, fills
                 )
             else:
@@ -1060,7 +969,7 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
         if family == _FAMILY_RRIP:
             rmax = policy.rrpv_max
             if buf is None:
-                hits += _count_rrip_roles(
+                hits += _count_rrip(
                     seg, pos, ways, rmax, False, rng, throttle, use_b, None
                 )
             else:
@@ -1070,7 +979,7 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
                 )
         else:
             if buf is None:
-                hits += _count_recency_roles(
+                hits += _count_recency(
                     seg, pos, ways, _MODE_MRU, rng, throttle, use_b, None
                 )
             else:
@@ -1102,9 +1011,13 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
         and cls is SrripPolicy
     ):
         # Count-mode SRRIP has a fully synchronous vectorized kernel (no
-        # RNG, no residency skeleton to record); BRRIP's per-set draws
-        # and walk mode stay on the per-set kernels.
-        return _count_rrip_sync(part, geometry.ways, policy.rrpv_max)
+        # RNG, no residency skeleton to record): the stacked grid kernel
+        # with one variant. BRRIP's per-set draws and walk mode stay on
+        # the per-set kernels.
+        rmax = policy.rrpv_max
+        return _count_rrip_sync_stacked(
+            part, geometry.ways, [(rmax, rmax - 1)]
+        )[0]
     grouped_next = None
     if family == _FAMILY_OPT:
         next_use = policy.next_use
@@ -1130,7 +1043,9 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
             rng = policy.set_rng(s) if bimodal else None
             throttle = policy.throttle if bimodal else 0
             if buf is None:
-                hits += _count_rrip(seg, ways, rmax, rng, throttle)
+                hits += _count_rrip(
+                    seg, None, ways, rmax, bimodal, rng, throttle, None, None
+                )
             else:
                 hits += _walk_rrip(
                     seg, order[lo:hi], ways, rmax, bimodal, rng, throttle,
@@ -1141,7 +1056,9 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
             rng = policy.set_rng(s) if mode == _MODE_BIP else None
             throttle = policy.throttle if mode == _MODE_BIP else 0
             if buf is None:
-                hits += _count_recency(seg, ways, mode, rng, throttle)
+                hits += _count_recency(
+                    seg, None, ways, mode, rng, throttle, None, None
+                )
             else:
                 hits += _walk_recency(
                     seg, order[lo:hi], ways, mode, rng, throttle, None, None,

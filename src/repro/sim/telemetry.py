@@ -365,13 +365,12 @@ def describe_environment(context=None) -> Dict:
     import repro
     from repro.common.npsupport import numpy
     from repro.sim.fastpath import fastpath_enabled
-    from repro.sim.nativepath import have_numba, native_enabled
+    from repro.sim.nativepath import native_enabled
 
     fields: Dict = {
         "repro_version": repro.__version__,
         "numpy_available": True,
         "numpy_version": numpy.__version__,
-        "numba_available": have_numba(),
         "native_backend": native_enabled(),
     }
     if context is not None:

@@ -24,9 +24,9 @@ from repro.predictors.registry import make_predictor
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.fastpath import (
     FASTPATH_ENV,
+    _histogram_walk,
     fastpath_eligible,
     fastpath_enabled,
-    lru_stack_distances,
     reconstruct_lru_replay,
     replay_lru_fastpath,
 )
@@ -131,6 +131,8 @@ class TestEquivalence:
 
 
 class TestStackDistances:
+    """The capped-distance histogram the LRU grid thresholds against."""
+
     def brute_force(self, blocks, num_sets, ways):
         """Distance by definition: distinct same-set blocks since last use."""
         out = []
@@ -156,20 +158,21 @@ class TestStackDistances:
            geometry_index=st.integers(0, 3))
     def test_matches_brute_force(self, blocks, geometry_index):
         geometry = GEOMETRIES[geometry_index]
-        got = lru_stack_distances(blocks, geometry.num_sets, geometry.ways)
-        assert list(got) == self.brute_force(
-            blocks, geometry.num_sets, geometry.ways
-        )
+        ways = geometry.ways
+        expected = [0] * (ways + 1)
+        for d in self.brute_force(blocks, geometry.num_sets, ways):
+            expected[d] += 1
+        got = _histogram_walk(blocks, geometry.num_sets, ways)
+        assert got == expected
 
     def test_hit_iff_distance_below_ways(self, small_geometry):
         blocks = [0, 8, 16, 24, 32, 0, 8, 99, 0]
         stream = make_stream([(0, 0x1, b, False) for b in blocks])
-        distances = lru_stack_distances(
-            blocks, small_geometry.num_sets, small_geometry.ways
-        )
+        ways = small_geometry.ways
+        hist = _histogram_walk(blocks, small_geometry.num_sets, ways)
         slow = scalar_replay(stream, small_geometry)
-        hits = sum(1 for d in distances if d < small_geometry.ways)
-        assert hits == slow.hits
+        assert sum(hist[:ways]) == slow.hits
+        assert hist[ways] == slow.misses
 
 
 class TestRealObservers:

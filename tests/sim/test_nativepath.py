@@ -2,7 +2,7 @@
 
 The nativepath contract is the same one every other replay tier carries:
 *bit-identity with the scalar model*. SHiP replayed through the compact
-(or numba) kernel must produce exactly the counters
+kernel must produce exactly the counters
 ``LlcOnlySimulator(geometry, ShipPolicy()).run(stream)`` produces —
 including parameterized variants, adversarial hypothesis streams, and the
 single-set degenerate geometry — with the scalar tier recorded (this is a
@@ -85,7 +85,7 @@ class TestShipBitIdentity:
         native = replay_ship_nativepath(stream, geometry, ShipPolicy())
         assert native == ref
         assert native.tier == REPLAY_SCALAR
-        assert native.backend in ("compact", "numba")
+        assert native.backend == "compact"
 
     def test_parameter_variants_match(self):
         stream = mixed_stream(3000, 90)
@@ -122,7 +122,7 @@ class TestShipBitIdentity:
         )
         assert profile["native_prepare"] >= 0.0
         assert profile["native_kernel"] >= 0.0
-        assert profile["native_backend"] in ("compact", "numba")
+        assert profile["native_backend"] == "compact"
 
     def test_numpy_twin_matches_python_signatures(self):
         # The vectorized and pure-Python signature preparations feed the
@@ -157,7 +157,7 @@ class TestFallbackChain:
         geometry = CacheGeometry(8 * 4 * 64, 4)
         result = run_policy_on_stream(stream, geometry, "ship", seed=SEED)
         assert result.tier == REPLAY_SCALAR
-        assert result.backend in ("compact", "numba")
+        assert result.backend == "compact"
         assert result == scalar_reference(stream, geometry)
 
     def test_env_escape_hatch_lands_on_model(self, monkeypatch):
@@ -170,7 +170,7 @@ class TestFallbackChain:
         # =0 counts as unset (the env_flag contract) — native again.
         monkeypatch.setenv(NO_NATIVE_ENV, "0")
         auto = run_policy_on_stream(stream, geometry, "ship", seed=SEED)
-        assert auto.backend in ("compact", "numba")
+        assert auto.backend == "compact"
         assert gated == auto
 
     def test_native_false_param_lands_on_model(self):
@@ -241,4 +241,4 @@ class TestFallbackChain:
             stream, geometry, "ship", seed=SEED
         ).as_dict()
         assert payload["tier"] == REPLAY_SCALAR
-        assert payload["backend"] in ("compact", "numba")
+        assert payload["backend"] == "compact"

@@ -27,7 +27,7 @@ from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import FASTPATH_ENV
+from repro.sim.fastpath import FASTPATH_ENV, VECTORIZE_THRESHOLD
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.setpath import (
     partition_stream,
@@ -48,6 +48,7 @@ GEOMETRIES = [
     CacheGeometry(4 * 2 * 64, 2),    # 4 sets x 2 ways
     CacheGeometry(2 * 4 * 64, 4),    # 2 sets x 4 ways
     CacheGeometry(8 * 8 * 64, 8),    # 8 sets x 8 ways
+    CacheGeometry(128 * 4 * 64, 4),  # 64 dueling leader + 64 follower sets
 ]
 
 
@@ -162,13 +163,26 @@ class TestObserverExactness:
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_counts_identical_across_geometries(self, geometry):
-        stream = mixed_stream(n=2500, spread=geometry.num_blocks * 3)
-        for policy in sorted(SETPATH_POLICIES):
-            fast = replay_setpath(stream, geometry, make_policy(policy, seed=5))
-            slow = LlcOnlySimulator(
-                geometry, make_policy(policy, seed=5)
-            ).run(stream)
-            assert (fast.hits, fast.misses) == (slow.hits, slow.misses), policy
+        # Count mode runs one kernel per family in every role: plain
+        # SRRIP/BRRIP and LIP/BIP, DIP/DRRIP leaders and (at 128 sets)
+        # followers. Below the vectorize threshold SRRIP takes the per-set
+        # kernel; above it, the synchronous numpy kernel.
+        for n, kernel in ((VECTORIZE_THRESHOLD // 2, "python"),
+                          (2 * VECTORIZE_THRESHOLD, "numpy")):
+            stream = mixed_stream(n=n, spread=geometry.num_blocks * 3)
+            for policy in sorted(SETPATH_POLICIES):
+                profile = {}
+                fast = replay_setpath(
+                    stream, geometry, make_policy(policy, seed=5),
+                    profile=profile,
+                )
+                slow = LlcOnlySimulator(
+                    geometry, make_policy(policy, seed=5)
+                ).run(stream)
+                assert (fast.hits, fast.misses) == (slow.hits, slow.misses), (
+                    policy, n,
+                )
+                assert profile["partition_kernel"] == kernel
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -257,7 +271,7 @@ class TestDispatch:
         geometry = CacheGeometry(8 * 4 * 64, 4)
         result = run_policy_on_stream(stream, geometry, "ship")
         assert result.tier == "scalar"
-        assert result.backend in ("compact", "numba")
+        assert result.backend == "compact"
 
     def test_scalar_tier_declines_without_native(self):
         stream = mixed_stream(n=500)

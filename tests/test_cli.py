@@ -1,8 +1,12 @@
 """Tests for the repro-sim command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.fastpath import fastpath_enabled
+from repro.sim.nativepath import native_enabled
 
 FAST = ["--accesses", "3000", "--workloads", "swaptions", "water"]
 
@@ -27,6 +31,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "opt" in out
         assert "lru" in out
+
+    def test_no_fastpath_leaves_environment_unchanged(self, capsys):
+        # The replay gates travel on the context, never through os.environ:
+        # a CLI call must not change the calling process's later replays.
+        before = dict(os.environ)
+        gates = (fastpath_enabled(), native_enabled())
+        assert main(["compare", *FAST, "--policies", "lru", "ship",
+                     "--no-fastpath"]) == 0
+        assert dict(os.environ) == before
+        assert (fastpath_enabled(), native_enabled()) == gates
+        assert "ship" in capsys.readouterr().out
 
     def test_oracle(self, capsys):
         assert main(["oracle", *FAST, "--base", "lru"]) == 0
