@@ -7,7 +7,11 @@ the oracle, which need the future — observes the *identical* stream; see
 DESIGN.md for why this is the standard methodology (and the one
 approximation it entails under inclusion).
 
-Storage mirrors :class:`repro.trace.Trace`: four parallel arrays.
+Storage mirrors :class:`repro.trace.Trace`: four parallel ``array.array``
+columns with typecodes ``b``/``q``/``q``/``b``. The constructor enforces
+that one representation, so every consumer reads Python ints from the
+columns (an int8 numpy core id would overflow ``1 << core`` at core 7) and
+vectorized kernels take zero-copy views through :meth:`numpy_columns`.
 """
 
 from array import array
@@ -28,11 +32,23 @@ class LlcAccess(NamedTuple):
     is_write: bool
 
 
+_TYPECODES = ("b", "q", "q", "b")
+"""Column typecodes of ``(cores, pcs, blocks, writes)``."""
+
+
 class LlcStream:
     """Immutable recorded LLC access stream."""
 
     def __init__(self, cores: array, pcs: array, blocks: array, writes: array,
                  name: str = "llc-stream"):
+        for column, typecode in zip((cores, pcs, blocks, writes), _TYPECODES):
+            if not isinstance(column, array) or column.typecode != typecode:
+                found = getattr(column, "typecode", type(column).__name__)
+                raise TraceError(
+                    f"LLC stream columns must be array.array with typecodes "
+                    f"{'/'.join(_TYPECODES)}; got {found!r} where "
+                    f"{typecode!r} belongs"
+                )
         lengths = {len(cores), len(pcs), len(blocks), len(writes)}
         if len(lengths) != 1:
             raise TraceError(f"LLC stream column lengths disagree: {sorted(lengths)}")
@@ -66,19 +82,6 @@ class LlcStream:
         """``(cores, pcs, blocks, writes)`` for bulk consumers."""
         return self._cores, self._pcs, self._blocks, self._writes
 
-    def python_columns(self) -> Tuple:
-        """``(cores, pcs, blocks, writes)`` yielding Python ints.
-
-        ``array.array`` columns already do and are returned as they are.
-        Numpy views from a zero-copy load are converted once with
-        ``tolist()``: their int8 core ids would otherwise leak numpy
-        scalars into the core masks (``1 << np.int8(7)`` is ``-128``).
-        """
-        return tuple(
-            column if isinstance(column, array) else column.tolist()
-            for column in self.columns()
-        )
-
     def numpy_columns(self) -> Tuple:
         """``(cores, pcs, blocks, writes)`` as read-only numpy views.
 
@@ -98,12 +101,7 @@ class LlcStream:
         """1 + maximum core id appearing in the stream (0 when empty)."""
         if len(self._cores) == 0:
             return 0
-        # Columns are array.array normally, but zero-copy loads
-        # (:func:`repro.cache.stream_io.read_llc_stream`) back them with
-        # mmap-based numpy views; ndarray.max avoids a Python-level scan.
-        column = self._cores
-        peak = column.max() if hasattr(column, "max") else max(column)
-        return int(peak) + 1
+        return int(frozen_view(self._cores, np.int8).max()) + 1
 
     def __len__(self) -> int:
         return len(self._cores)

@@ -21,25 +21,16 @@ experiment cache (:mod:`repro.sim.experiment`): a corrupted or truncated
 artifact raises :class:`TraceError` instead of silently perturbing results.
 Version-1 files (no checksum) still load.
 
-Loading is zero-copy where the platform allows it: plain (uncompressed)
-files are ``mmap``-ed and each column becomes an ``np.frombuffer`` view
-over the mapping — no per-column deserialize copy, so N pool workers
-re-opening the same cached stream share the page cache instead of each
-materializing the blobs. The CRC is still verified over the mapped bytes.
-Gzip paths (and files that cannot be mapped) take the streamed reader
-(``array.frombytes``); both produce equivalent streams (the column types
-differ — numpy views vs ``array.array`` — but every consumer is
-duck-typed over them, and the equivalence is differential-tested).
+Both plain and gzip paths load through one streamed reader
+(``array.frombytes`` per column), so every loaded stream carries the same
+``array.array`` columns as a freshly recorded one.
 """
 
-import mmap
 import struct
 import zlib
 from array import array
 from pathlib import Path
 from typing import Union
-
-import numpy as np
 
 from repro.cache.stream import LlcStream
 from repro.common.errors import TraceError
@@ -75,78 +66,11 @@ def write_llc_stream(stream: LlcStream, path: Union[str, Path]) -> None:
 def read_llc_stream(path: Union[str, Path]) -> LlcStream:
     """Load a stream written by :func:`write_llc_stream`.
 
-    Plain files load zero-copy (module docstring); gzip paths take the
-    streamed reader.
-
     Raises:
         TraceError: on a bad magic number, unsupported version, a
             truncated file, or a column checksum mismatch.
     """
     path = Path(path)
-    if path.suffix != ".gz":
-        stream = _read_llc_stream_mapped(path)
-        if stream is not None:
-            return stream
-    return _read_llc_stream_streamed(path)
-
-
-def _read_llc_stream_mapped(path: Path):
-    """Zero-copy reader: mmap + ``np.frombuffer`` column views.
-
-    Returns ``None`` when the file cannot be mapped (empty file, exotic
-    filesystem) — the caller falls back to the streamed reader, which
-    reports the ordinary format errors. The mapping outlives this
-    function through the views' ``base`` references; the file descriptor
-    is closed immediately.
-    """
-    with open(path, "rb") as handle:
-        try:
-            buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            return None
-    size = len(buf)
-    if size < _HEADER.size:
-        raise TraceError(f"{path}: truncated header")
-    magic, version, count, __, namelen = _HEADER.unpack_from(buf, 0)
-    if magic != _MAGIC:
-        raise TraceError(f"{path}: bad magic {magic!r} (not an LLC stream)")
-    if version not in (1, 2):
-        raise TraceError(f"{path}: unsupported version {version}")
-    offset = _HEADER.size
-    if size < offset + namelen:
-        raise TraceError(f"{path}: truncated header")
-    name = bytes(buf[offset:offset + namelen]).decode("utf-8")
-    offset += namelen
-
-    checksum = 0
-    columns = []
-    view = memoryview(buf)
-    for typecode, item_size, dtype in (
-        ("b", 1, np.int8), ("q", 8, np.int64),
-        ("q", 8, np.int64), ("b", 1, np.int8),
-    ):
-        end = offset + count * item_size
-        if end > size:
-            raise TraceError(f"{path}: truncated column ({typecode})")
-        checksum = zlib.crc32(view[offset:end], checksum)
-        columns.append(np.frombuffer(buf, dtype=dtype, count=count,
-                                     offset=offset))
-        offset = end
-    if version >= 2:
-        if size < offset + _FOOTER.size:
-            raise TraceError(f"{path}: truncated checksum footer")
-        (expected,) = _FOOTER.unpack_from(buf, offset)
-        if expected != checksum:
-            raise TraceError(
-                f"{path}: checksum mismatch "
-                f"(stored {expected:#010x}, computed {checksum:#010x})"
-            )
-    cores, pcs, blocks, writes = columns
-    return LlcStream(cores, pcs, blocks, writes, name=name)
-
-
-def _read_llc_stream_streamed(path: Path) -> LlcStream:
-    """Streamed reader (copies each column blob through ``frombytes``)."""
     with open_artifact(path, "rb") as handle:
         header = handle.read(_HEADER.size)
         if len(header) != _HEADER.size:

@@ -28,7 +28,6 @@ import numpy as np
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
-from repro.common.npsupport import should_vectorize
 from repro.common.rng import derive_seed
 from repro.oracle.residency import FillSharingLog
 from repro.policies.base import ReplacementPolicy
@@ -41,16 +40,12 @@ DEFAULT_HORIZON_FACTOR = 8
 BUDGET_CAP = 127
 """Budgets saturate here; protection beyond ~100 uses changes nothing."""
 
-VECTORIZE_THRESHOLD = 4096
-"""Stream length above which the numpy annotation kernel wins (auto mode)."""
-
 
 def build_stream_annotation(
     stream: LlcStream,
     geometry: CacheGeometry,
     horizon_factor: int = DEFAULT_HORIZON_FACTOR,
     cap: int = BUDGET_CAP,
-    use_numpy: Optional[bool] = None,
 ) -> array:
     """Annotate every stream position with its future cross-core uses.
 
@@ -61,18 +56,17 @@ def build_stream_annotation(
     for: sharing farther out than several full cache turnovers cannot be
     captured by any replacement decision made now.
 
-    Two equivalent implementations selected by ``use_numpy`` (``None``
-    auto-selects): a pure-Python backward scan with sliding-window deques,
-    and a vectorized grouped-searchsorted pass. Bit-identical outputs.
+    Runs the vectorized grouped-searchsorted pass, falling back to the
+    reference backward scan (sliding-window deques) only when even dense
+    ids cannot pack beside a position.
     """
     if horizon_factor <= 0 or cap <= 0:
         raise ConfigError("horizon_factor and cap must be positive")
-    if should_vectorize(use_numpy, len(stream), VECTORIZE_THRESHOLD):
-        vectorized = _build_stream_annotation_numpy(
-            stream, geometry, horizon_factor, cap
-        )
-        if vectorized is not None:
-            return vectorized
+    vectorized = _build_stream_annotation_numpy(
+        stream, geometry, horizon_factor, cap
+    )
+    if vectorized is not None:
+        return vectorized
     return _build_stream_annotation_python(stream, geometry, horizon_factor, cap)
 
 

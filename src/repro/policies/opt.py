@@ -20,33 +20,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.common.npsupport import should_vectorize
 from repro.policies.base import REPLAY_SET, ReplacementPolicy
 
 NO_NEXT_USE = 1 << 62
 """Sentinel next-use position meaning "never accessed again"."""
 
-VECTORIZE_THRESHOLD = 4096
-"""Stream length above which the numpy next-use kernel wins (auto mode)."""
-
-
-def compute_next_use(
-    blocks: Sequence[int], use_numpy: Optional[bool] = None
-) -> array:
+def compute_next_use(blocks: Sequence[int]) -> array:
     """For each stream position, the position of that block's next access.
 
     Positions with no later access of the same block get
-    :data:`NO_NEXT_USE`. Two equivalent implementations: a pure-Python
-    backward scan with a last-seen map, and a numpy unique-index pass
-    (one values-only sort of ``(block << log2(n)) | position`` packed keys;
-    each key's successor within its block run *is* the next use).
-    ``use_numpy`` selects explicitly; ``None`` auto-selects by availability
-    and size. Both return bit-identical ``array('q')`` columns.
+    :data:`NO_NEXT_USE`. Runs the numpy kernel (one values-only sort of
+    ``(block << log2(n)) | position`` packed keys; each key's successor
+    within its block run *is* the next use), falling back to the
+    reference backward scan only when even dense ids cannot pack.
+    Returns an ``array('q')`` column.
     """
-    if should_vectorize(use_numpy, len(blocks), VECTORIZE_THRESHOLD):
-        vectorized = _compute_next_use_numpy(blocks)
-        if vectorized is not None:
-            return vectorized
+    vectorized = _compute_next_use_packed(blocks)
+    if vectorized is not None:
+        return vectorized
     return _compute_next_use_python(blocks)
 
 
@@ -61,7 +52,7 @@ def _compute_next_use_python(blocks: Sequence[int]) -> array:
     return next_use
 
 
-def _compute_next_use_numpy(blocks: Sequence[int]) -> Optional[array]:
+def _compute_next_use_packed(blocks: Sequence[int]) -> Optional[array]:
     """Vectorized next-use via one values-only sort of packed keys.
 
     Packs ``(block << shift) | position`` into int64 (``2^shift >= n``) so a

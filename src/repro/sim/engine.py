@@ -18,10 +18,8 @@ Library callers reach this loop through the one replay entry point,
 tiers and the native backend first; disabling the accelerations
 (``fastpath=False``, ``native=False``, or the ``REPRO_SIM_NO_*``
 environment toggles) always lands back here. Stream columns are
-``array.array`` from the builder or numpy views after a zero-copy load;
-the loop reads them through :meth:`LlcStream.python_columns`, which
-converts numpy views to Python ints once per replay so numpy scalars
-never reach the core masks.
+always ``array.array`` (:class:`repro.cache.LlcStream` enforces it), so
+the loop hands Python ints to the core masks.
 """
 
 from time import perf_counter
@@ -53,9 +51,7 @@ class LlcOnlySimulator:
 
         The hot loop zips the four columns instead of indexing each per
         position (four fewer ``__getitem__`` calls per access) and hoists
-        the access method into a local. Columns come from
-        :meth:`LlcStream.python_columns`: a numpy int8 core id would
-        otherwise overflow ``1 << core``. The result records replay
+        the access method into a local. The result records replay
         throughput as ``accesses_per_sec``.
 
         Args:
@@ -67,7 +63,7 @@ class LlcOnlySimulator:
         """
         access = self.llc.access
         start = perf_counter()
-        for core, pc, block, write in zip(*stream.python_columns()):
+        for core, pc, block, write in zip(*stream.columns()):
             access(core, pc, block, write != 0)
         elapsed = perf_counter() - start
         if flush:

@@ -20,9 +20,11 @@ sweep) for plain-LRU replays with three cheaper phases:
    maintains per access.
 2. **Residency metadata reconstruction** — per-residency hit counts,
    cross-core ("other") hit counts, core masks and write masks rebuilt
-   *offline* from the classified stream. This phase is vectorized via
-   ``numpy`` (``bincount``/``reduceat`` segmented reductions over the
-   stream columns) with a pure-Python twin kept as fallback and reference.
+   *offline* from the classified stream, with ``numpy`` segmented
+   reductions (``bincount``/``reduceat``) over the stream columns. Masks
+   are int64, so streams with core ids above 62 have no fast observer
+   replay: :func:`core_masks_fit` tells the replay entry point to run
+   them on the object model instead.
 3. **Observer replay** — registered :class:`ResidencyObserver` instances
    receive exactly the callback sequence the scalar ``SharedLlc`` would
    have produced: ``residency_ended`` for the victim then
@@ -50,7 +52,7 @@ import numpy as np
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
-from repro.common.npsupport import should_vectorize
+from repro.common.errors import SimulationError
 from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK, ReplacementPolicy
 from repro.policies.registry import policy_class
 from repro.sim.results import LlcSimResult
@@ -61,10 +63,6 @@ FASTPATH_ENV = "REPRO_SIM_NO_FASTPATH"
 Parsed by :func:`repro.common.envflag.env_flag`: ``=0``/``=false``/``=no``
 count as unset (the fast path stays on), anything else disables it.
 """
-
-VECTORIZE_THRESHOLD = 4096
-"""Stream length above which the numpy reconstruction wins (auto mode)."""
-
 
 def fastpath_enabled(flag: Optional[bool] = None) -> bool:
     """Resolve the three-state fast-path gate.
@@ -310,57 +308,40 @@ def _stack_walk(blocks: List[int], num_sets: int, ways: int) -> LruReplayReconst
 
 
 # ----------------------------------------------------------------------
-# Phase 2: residency metadata reconstruction (vectorized + Python twin)
+# Phase 2: residency metadata reconstruction
 # ----------------------------------------------------------------------
 
 _MAX_NUMPY_CORE = 62
 """Highest core id the int64 mask kernel handles (1 << core must fit)."""
 
 
-def _reconstruct_python(walk: LruReplayReconstruction, stream: LlcStream) -> None:
-    """Pure-Python metadata pass (reference implementation).
+def core_masks_fit(stream: LlcStream) -> bool:
+    """True when every core id of ``stream`` fits an int64 core mask.
 
-    Reads :meth:`LlcStream.python_columns`: numpy int8 core ids from a
-    mapped stream would overflow ``1 << core`` at core 7.
+    Observer-carrying fast replays rebuild per-residency core masks with
+    int64 reductions; a stream with wider core ids (a multi-socket
+    machine, say) must replay on the object model, whose masks are
+    Python ints.
     """
-    count = walk.residencies
-    res_hits = [0] * count
-    res_other = [0] * count
-    res_cmask = [0] * count
-    res_wmask = [0] * count
-    fill_core = [0] * count
-    cores, __, ___, writes = stream.python_columns()
-    ways = walk.ways
-    distances = walk.distances
-    rids = walk.rids
-    for i in range(walk.n):
-        rid = rids[i]
-        core = cores[i]
-        bit = 1 << core
-        if distances[i] < ways:
-            res_hits[rid] += 1
-            res_cmask[rid] |= bit
-            if writes[i]:
-                res_wmask[rid] |= bit
-            if core != fill_core[rid]:
-                res_other[rid] += 1
-        else:
-            fill_core[rid] = core
-            res_cmask[rid] = bit
-            res_wmask[rid] = bit if writes[i] else 0
-    walk.res_hits = res_hits
-    walk.res_other_hits = res_other
-    walk.res_core_mask = res_cmask
-    walk.res_write_mask = res_wmask
+    return stream.num_cores <= _MAX_NUMPY_CORE + 1
 
 
-def _reconstruct_numpy(walk: LruReplayReconstruction, stream: LlcStream) -> bool:
-    """Vectorized metadata pass; returns False when it must defer.
+def _require_core_masks_fit(stream: LlcStream) -> None:
+    if not core_masks_fit(stream):
+        raise SimulationError(
+            f"stream {stream.name!r} has core ids up to "
+            f"{stream.num_cores - 1}; residency masks on the fast tiers "
+            f"cover cores 0..{_MAX_NUMPY_CORE} (replay it on the model)"
+        )
+
+
+def _reconstruct_metadata(walk: LruReplayReconstruction,
+                          stream: LlcStream) -> None:
+    """Rebuild per-residency hit counts and core/write masks.
 
     Segmented reductions over the (stable) rid-sorted stream columns:
     ``bincount`` for hit and other-hit counts, ``bitwise_or.reduceat`` for
-    the core and write masks. Defers to the Python twin for core ids too
-    wide for int64 masks (never the case for the paper's 8-core machine).
+    the core and write masks. Callers have checked :func:`core_masks_fit`.
     """
     count = walk.residencies
     if count == 0:
@@ -368,10 +349,8 @@ def _reconstruct_numpy(walk: LruReplayReconstruction, stream: LlcStream) -> bool
         walk.res_other_hits = []
         walk.res_core_mask = []
         walk.res_write_mask = []
-        return True
+        return
     cores_np, __, ___, writes_np = stream.numpy_columns()
-    if int(cores_np.max()) > _MAX_NUMPY_CORE:
-        return False
     rids_np = np.frombuffer(walk.rids, dtype=np.int64)
     dist_np = np.frombuffer(walk.distances, dtype=np.int32)
     hit_mask = dist_np < walk.ways
@@ -397,43 +376,32 @@ def _reconstruct_numpy(walk: LruReplayReconstruction, stream: LlcStream) -> bool
     walk.res_other_hits = res_other.tolist()
     walk.res_core_mask = res_cmask.tolist()
     walk.res_write_mask = res_wmask.tolist()
-    return True
 
 
 def reconstruct_lru_replay(
     stream: LlcStream,
     geometry: CacheGeometry,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> LruReplayReconstruction:
     """Classify ``stream`` under exact LRU and rebuild residency metadata.
 
-    ``use_numpy`` selects the metadata-reconstruction kernel explicitly;
-    ``None`` auto-selects by availability and stream size. Both kernels
-    return bit-identical metadata (equivalence-tested). ``profile``, when
-    a dict, receives per-phase wall times (``stack_walk``,
-    ``reconstruct``) plus the kernel that ran (``reconstruct_kernel``:
-    ``"numpy"`` or ``"python"``) for the replay profiler.
+    ``profile``, when a dict, receives per-phase wall times
+    (``stack_walk``, ``reconstruct``) for the replay profiler.
+
+    Raises:
+        SimulationError: when the stream's core ids do not fit int64
+            masks (:func:`core_masks_fit`).
     """
-    blocks = stream.blocks
+    _require_core_masks_fit(stream)
     start = perf_counter()
-    walk = _stack_walk(
-        blocks.tolist() if isinstance(blocks, array) else list(blocks),
-        geometry.num_sets,
-        geometry.ways,
-    )
+    walk = _stack_walk(stream.blocks.tolist(), geometry.num_sets,
+                       geometry.ways)
     if profile is not None:
         profile["stack_walk"] = perf_counter() - start
         start = perf_counter()
-    kernel = "python"
-    if should_vectorize(use_numpy, walk.n, VECTORIZE_THRESHOLD):
-        if _reconstruct_numpy(walk, stream):
-            kernel = "numpy"
-    if kernel == "python":
-        _reconstruct_python(walk, stream)
+    _reconstruct_metadata(walk, stream)
     if profile is not None:
         profile["reconstruct"] = perf_counter() - start
-        profile["reconstruct_kernel"] = kernel
     return walk
 
 
@@ -444,12 +412,8 @@ def reconstruct_lru_replay(
 def _replay_observers(
     walk: LruReplayReconstruction, stream: LlcStream, observers: Tuple
 ) -> None:
-    """Emit the exact callback sequence the scalar replay would produce.
-
-    Observers receive Python ints, as from the scalar model, whichever
-    loader produced the stream's columns.
-    """
-    cores, pcs, __, ___ = stream.python_columns()
+    """Emit the exact callback sequence the scalar replay would produce."""
+    cores, pcs, __, ___ = stream.columns()
     res_block = walk.res_block
     res_fill = walk.res_fill
     res_way = walk.res_way
@@ -495,7 +459,6 @@ def replay_lru_fastpath(
     stream: LlcStream,
     geometry: CacheGeometry,
     observers: Tuple = (),
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> LlcSimResult:
     """Replay ``stream`` under exact LRU via the stack-distance fast path.
@@ -506,24 +469,21 @@ def replay_lru_fastpath(
     happens after classification (phase 3), so when no observers are
     attached the replay is pure classification.
     ``profile``, when a dict, receives per-phase wall times (see
-    :func:`reconstruct_lru_replay`, plus ``observer_replay``).
+    :func:`reconstruct_lru_replay`, plus ``observer_replay``). Observer
+    replays raise :class:`SimulationError` on streams that fail
+    :func:`core_masks_fit`.
     """
     start = perf_counter()
     if observers:
-        walk = reconstruct_lru_replay(
-            stream, geometry, use_numpy=use_numpy, profile=profile
-        )
+        walk = reconstruct_lru_replay(stream, geometry, profile=profile)
         phase_start = perf_counter()
         _replay_observers(walk, stream, tuple(observers))
         if profile is not None:
             profile["observer_replay"] = perf_counter() - phase_start
         n, hits, misses = walk.n, walk.hits, walk.misses
     else:
-        blocks = stream.blocks
         n, hits, misses, __ = _count_walk(
-            blocks.tolist() if isinstance(blocks, array) else list(blocks),
-            geometry.num_sets,
-            geometry.ways,
+            stream.blocks.tolist(), geometry.num_sets, geometry.ways
         )
         if profile is not None:
             profile["count_walk"] = perf_counter() - start

@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.npsupport import should_vectorize
 from repro.common.rng import derive_seed
 from repro.policies.base import (
     REPLAY_DUELING,
@@ -51,11 +50,7 @@ from repro.policies.base import (
 from repro.policies.registry import make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim import telemetry
-from repro.sim.fastpath import (
-    VECTORIZE_THRESHOLD,
-    _histogram_walk,
-    fastpath_enabled,
-)
+from repro.sim.fastpath import _histogram_walk, fastpath_enabled
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.results import LlcSimResult
 from repro.sim.setpath import (
@@ -186,7 +181,6 @@ def replay_geometry_grid(
     policy: PolicySpec = "lru",
     seed: int = 0,
     fastpath: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> List[LlcSimResult]:
     """Replay one policy across a whole geometry grid, sharing every pass.
@@ -227,20 +221,17 @@ def replay_geometry_grid(
     if tier == REPLAY_STACK:
         results = replay_lru_grid(stream, geometries, profile=profile)
     else:
-        use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
         results = [None] * len(geometries)
         groups = _group_by_num_sets(geometries)
         for num_sets, indices in groups.items():
-            part = partition_stream(
-                stream.blocks, num_sets, use_numpy=use_np, profile=profile
-            )
+            part = partition_stream(stream.blocks, num_sets, profile=profile)
             for idx in indices:
                 geometry = geometries[idx]
                 cell_start = perf_counter()
                 instance = _fresh_instance(policy, seed)
                 instance.bind(geometry)
                 hits = _run_partitioned(
-                    part, geometry, instance, None, use_np, profile=profile
+                    part, geometry, instance, None, profile=profile
                 )
                 results[idx] = LlcSimResult(
                     policy=instance.name,
@@ -250,7 +241,7 @@ def replay_geometry_grid(
                     misses=n - hits,
                     elapsed_sec=perf_counter() - cell_start,
                     tier=REPLAY_GRID,
-                    backend="numpy" if use_np else "python",
+                    backend="numpy",
                 )
         if profile is not None:
             profile["grid_groups"] = len(groups)
@@ -269,7 +260,6 @@ def replay_param_grid(
     geometry: CacheGeometry,
     policies: Sequence[ReplacementPolicy],
     fastpath: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> List[LlcSimResult]:
     """Replay a parameter grid of policy variants at one fixed geometry.
@@ -303,19 +293,17 @@ def replay_param_grid(
             run_policy_on_stream(stream, geometry, instance, fastpath=False)
             for instance in instances
         ]
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
     tiers = [setpath_tier_of(instance) for instance in instances]
     part = None
     if any(tier in (REPLAY_SET, REPLAY_DUELING) for tier in tiers):
         part = partition_stream(
-            stream.blocks, num_sets=geometry.num_sets, use_numpy=use_np,
-            profile=profile,
+            stream.blocks, num_sets=geometry.num_sets, profile=profile
         )
     # Exact-type SRRIP variants stack into one synchronous kernel.
     stacked = [
         idx for idx, instance in enumerate(instances)
         if type(instance) is SrripPolicy and tiers[idx] == REPLAY_SET
-    ] if (part is not None and use_np and part.blocks_np is not None) else []
+    ]
     if len(stacked) >= 2:
         kernel_start = perf_counter()
         hits_list = _count_rrip_sync_stacked(
@@ -347,7 +335,7 @@ def replay_param_grid(
             cell_start = perf_counter()
             instance.bind(geometry)
             hits = _run_partitioned(
-                part, geometry, instance, None, use_np, profile=profile
+                part, geometry, instance, None, profile=profile
             )
             results[idx] = LlcSimResult(
                 policy=instance.name,
@@ -357,7 +345,7 @@ def replay_param_grid(
                 misses=n - hits,
                 elapsed_sec=perf_counter() - cell_start,
                 tier=REPLAY_GRID,
-                backend="numpy" if use_np else "python",
+                backend="numpy",
             )
         else:
             # Stack- and scalar-tier variants replay independently through

@@ -31,7 +31,11 @@ from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import make_policy
 from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import fastpath_enabled, replay_lru_fastpath
+from repro.sim.fastpath import (
+    core_masks_fit,
+    fastpath_enabled,
+    replay_lru_fastpath,
+)
 from repro.sim.nativepath import try_native_replay
 from repro.sim.results import LlcSimResult
 from repro.sim.setpath import replay_setpath, setpath_tier_of
@@ -101,9 +105,13 @@ def _try_fast_replay(stream, geometry, policy, observers, fastpath,
 
     ``None`` is only ever returned before ``policy`` is touched — no
     binding, no ``set_rng`` draws, no counters written — so the caller's
-    model fallback can replay the very same instance.
+    model fallback can replay the very same instance. Observer-carrying
+    replays of streams whose core ids overflow the fast tiers' int64
+    residency masks decline here too.
     """
     if not fastpath_enabled(fastpath):
+        return None
+    if observers and not core_masks_fit(stream):
         return None
     tier = setpath_tier_of(policy)
     if tier == REPLAY_STACK:

@@ -49,7 +49,6 @@ import numpy as np
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
-from repro.common.npsupport import should_vectorize
 from repro.policies.base import REPLAY_SCALAR
 from repro.policies.lru import LruPolicy
 from repro.policies.rrip import SrripPolicy
@@ -82,16 +81,14 @@ def native_enabled(flag: Optional[bool] = None) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Signature preparation (vectorized, with a pure-Python twin)
+# Signature preparation (vectorized)
 # ----------------------------------------------------------------------
 
-def _hash_pcs(pcs, mask: int, use_np: bool):
+def _hash_pcs(pcs, mask: int):
     """Every access's SHCT signature: ``ShipPolicy._hash_pc`` columnwise."""
-    if use_np:
-        column = np.asarray(pcs, dtype=np.int64)
-        sigs = ((column >> 2) ^ (column >> 11) ^ (column >> 19)) & mask
-        return sigs.tolist()
-    return [((pc >> 2) ^ (pc >> 11) ^ (pc >> 19)) & mask for pc in pcs]
+    column = np.asarray(pcs, dtype=np.int64)
+    sigs = ((column >> 2) ^ (column >> 11) ^ (column >> 19)) & mask
+    return sigs.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +372,6 @@ def replay_oracle_nativepath(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> Optional[LlcSimResult]:
     """Replay ``stream`` under an unbound oracle wrapper, natively.
@@ -401,9 +397,6 @@ def replay_oracle_nativepath(
         # out-of-range) hints the closure would serve.
         return None
     start = perf_counter()
-    from repro.sim.fastpath import VECTORIZE_THRESHOLD
-
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
     mode = _ORACLE_MODES[policy.mode]
     release = _ORACLE_RELEASES[policy.release]
     if family == _FAMILY_ORACLE_SHIP:
@@ -420,7 +413,7 @@ def replay_oracle_nativepath(
     # budgets[i + 1] is access i's hint: one column aligned with the stream.
     hints = budgets[1:]
     sigs = (
-        _hash_pcs(stream.pcs, sig_mask, use_np)
+        _hash_pcs(stream.pcs, sig_mask)
         if family == _FAMILY_ORACLE_SHIP else None
     )
     if profile is not None:
@@ -456,7 +449,6 @@ def replay_ship_nativepath(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy: ShipPolicy,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> LlcSimResult:
     """Replay ``stream`` under an unbound SHiP instance, natively.
@@ -472,17 +464,14 @@ def replay_ship_nativepath(
     ``profile``, when a dict, receives ``native_prepare`` /
     ``native_kernel`` wall times and the chosen ``native_backend``.
     """
-    from repro.sim.fastpath import VECTORIZE_THRESHOLD
-
     start = perf_counter()
     n = len(stream.blocks)
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
     rmax = policy.rrpv_max
     cmax = policy.counter_max
     sig_mask = policy.shct_size - 1
     shct = list(policy._shct)  # never mutate the caller's instance
     prep_start = perf_counter()
-    sigs = _hash_pcs(stream.pcs, sig_mask, use_np)
+    sigs = _hash_pcs(stream.pcs, sig_mask)
     if profile is not None:
         profile["native_prepare"] = perf_counter() - prep_start
     kernel_start = perf_counter()
@@ -524,7 +513,6 @@ def try_native_replay(
     policy,
     observers: Tuple = (),
     native: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> Optional[LlcSimResult]:
     """Native replay of a scalar-tier policy, or ``None`` to fall back.
@@ -544,10 +532,8 @@ def try_native_replay(
     if native_eligible(policy):
         instance = policy if isinstance(policy, ShipPolicy) else ShipPolicy()
         return replay_ship_nativepath(
-            stream, geometry, instance, use_numpy=use_numpy, profile=profile,
+            stream, geometry, instance, profile=profile
         )
     if isinstance(policy, str):
         return None
-    return replay_oracle_nativepath(
-        stream, geometry, policy, use_numpy=use_numpy, profile=profile,
-    )
+    return replay_oracle_nativepath(stream, geometry, policy, profile=profile)

@@ -69,6 +69,7 @@ from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK
 from repro.sim.fastpath import (
     LruReplayReconstruction,
     _replay_observers,
+    core_masks_fit,
     fastpath_enabled,
     reconstruct_lru_replay,
 )
@@ -704,14 +705,15 @@ def run_probed_replay(
     probes: Iterable[Union[str, Probe]],
     seed: int = 0,
     fastpath: Optional[bool] = None,
-    use_numpy: Optional[bool] = None,
 ) -> ProbeReport:
     """Replay ``stream`` under ``policy_name`` with probes attached.
 
     Tier selection: the declared replay tier of the policy
     (:func:`repro.sim.setpath.setpath_tier_of`) engages only when the gate
     allows it **and every probe is fastpath-safe** — one scalar-only probe
-    forces the whole replay scalar (probes are never silently degraded).
+    forces the whole replay scalar (probes are never silently degraded),
+    as does a stream whose core ids do not fit the fast tiers' int64
+    residency masks (:func:`repro.sim.fastpath.core_masks_fit`).
     The report's ``tier`` is the tier that actually ran: ``"stack"`` (LRU
     stack-distance fast path), ``"set"`` / ``"dueling"`` (set-partitioned
     kernels), or ``"scalar"``. Hit/miss counts are bit-identical across
@@ -740,7 +742,11 @@ def run_probed_replay(
     profile: Dict = {}
     observers = tuple(p for p in probes if isinstance(p, ResidencyObserver))
     tier = REPLAY_SCALAR
-    if fastpath_enabled(fastpath) and all(p.fastpath_safe for p in probes):
+    if (
+        fastpath_enabled(fastpath)
+        and all(p.fastpath_safe for p in probes)
+        and core_masks_fit(stream)
+    ):
         tier = setpath_tier_of(policy_name)
     start = perf_counter()
     if tier != REPLAY_SCALAR:
@@ -748,17 +754,14 @@ def run_probed_replay(
         for probe in probes:
             probe.bind(geometry, None)
         if tier == REPLAY_STACK:
-            walk = reconstruct_lru_replay(
-                stream, geometry, use_numpy=use_numpy, profile=profile
-            )
+            walk = reconstruct_lru_replay(stream, geometry, profile=profile)
             lru_walk = walk
         else:
             policy = make_policy(
                 policy_name, seed=derive_seed(seed, "replay", policy_name)
             )
             walk = reconstruct_setpath_replay(
-                stream, geometry, policy,
-                use_numpy=use_numpy, profile=profile,
+                stream, geometry, policy, profile=profile
             )
             lru_walk = None
         if observers:
@@ -769,9 +772,7 @@ def run_probed_replay(
             if probe.wants_access_events:
                 if lru_walk is None:
                     phase_start = perf_counter()
-                    lru_walk = reconstruct_lru_replay(
-                        stream, geometry, use_numpy=use_numpy
-                    )
+                    lru_walk = reconstruct_lru_replay(stream, geometry)
                     profile["reuse_model"] = perf_counter() - phase_start
                 phase_start = perf_counter()
                 probe.consume_fastpath(lru_walk, stream, geometry)

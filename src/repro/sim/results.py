@@ -18,11 +18,12 @@ class LlcSimResult:
     equality — the whole point of the differential suite is that tiers
     agree on everything else. ``backend`` refines the provenance one step
     further: *which kernel implementation* inside that tier produced the
-    counters (``model`` for the scalar object model, ``python``/``numpy``
-    for the set-partitioned and fastpath kernels, ``compact`` for the
-    native scalar backend). Results come from the one replay entry
-    point, :func:`repro.sim.multipass.run_policy_on_stream`, whichever
-    tier ran. Like ``tier`` it is excluded from equality.
+    counters (``model`` for the scalar object model, ``python`` for the
+    stack walk and the LRU grid, ``numpy`` for the set-partitioned,
+    dueling and grid kernels, ``compact`` for the native scalar backend).
+    Results come from the one replay entry point,
+    :func:`repro.sim.multipass.run_policy_on_stream`, whichever tier ran.
+    Like ``tier`` it is excluded from equality.
     """
 
     policy: str

@@ -11,8 +11,8 @@ per-set state, read and written only by accesses mapping to that set. The
 replay therefore decomposes exactly:
 
 1. **Partition** — bucket the recorded stream by set index in one
-   vectorized pass (stable ``argsort`` over ``block & (num_sets-1)``, with
-   a pure-Python twin), keeping each access's global position.
+   vectorized pass (stable ``argsort`` over ``block & (num_sets-1)``),
+   keeping each access's global position.
 2. **Per-set kernels** — replay each set's subsequence under a compact
    array-state kernel (RRPV list for SRRIP/BRRIP, ordered recency list for
    the LRU/LIP/BIP family, reference bits for NRU, next-use values for
@@ -40,7 +40,9 @@ Observer-carrying replays additionally record the residency skeleton
 (fills, evictions, way assignments) per set and stitch it back into global
 fill order, reusing the fast path's metadata reconstruction and observer
 replay verbatim — observers see exactly the callback sequence the scalar
-model would have produced.
+model would have produced. Like the stack tier, that reconstruction needs
+core ids that fit int64 masks
+(:func:`repro.sim.fastpath.core_masks_fit`).
 
 :func:`setpath_tier_of` resolves the effective tier (declared tier ∧
 kernel availability); the replay entry point
@@ -49,7 +51,6 @@ kernel availability); the replay entry point
 """
 
 from array import array
-from bisect import bisect_left
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -58,7 +59,6 @@ import numpy as np
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.common.npsupport import should_vectorize
 from repro.policies.base import (
     REPLAY_DUELING,
     REPLAY_SCALAR,
@@ -73,11 +73,10 @@ from repro.policies.random_policy import RandomPolicy
 from repro.policies.registry import POLICY_NAMES, policy_class
 from repro.policies.rrip import BrripPolicy, DrripPolicy, SrripPolicy
 from repro.sim.fastpath import (
-    VECTORIZE_THRESHOLD,
     LruReplayReconstruction,
-    _reconstruct_numpy,
-    _reconstruct_python,
+    _reconstruct_metadata,
     _replay_observers,
+    _require_core_masks_fit,
     replay_tier_of,
 )
 from repro.sim.results import LlcSimResult
@@ -155,7 +154,7 @@ class StreamPartition:
     ``blocks[starts[s]:starts[s+1]]`` is set ``s``'s access subsequence in
     stream order; ``order`` holds each grouped access's global stream
     position (``order_np``/``blocks_np`` are the same columns as numpy
-    arrays when the vectorized bucketing built them, else ``None``).
+    arrays).
     """
 
     __slots__ = (
@@ -163,58 +162,31 @@ class StreamPartition:
     )
 
 
-def partition_stream(
-    blocks,
-    num_sets: int,
-    use_numpy: Optional[bool] = None,
-    profile=None,
-) -> StreamPartition:
+def partition_stream(blocks, num_sets: int, profile=None) -> StreamPartition:
     """Bucket ``blocks`` by ``block & (num_sets - 1)`` preserving order.
 
-    One stable ``argsort`` over the set-index column on the numpy path; a
-    per-set bucket append on the Python twin. Both produce identical
-    grouped columns (equivalence-tested).
+    One stable ``argsort`` over the set-index column.
     """
-    n = len(blocks)
     part = StreamPartition()
     part.num_sets = num_sets
     start = perf_counter()
-    if should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD):
-        if isinstance(blocks, array) and blocks.typecode == "q":
-            column = np.frombuffer(blocks, dtype=np.int64)
-        else:
-            column = np.asarray(blocks, dtype=np.int64)
-        sets = column & (num_sets - 1)
-        order_np = np.argsort(sets, kind="stable")
-        counts = np.bincount(sets, minlength=num_sets)
-        starts = np.zeros(num_sets + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        grouped = column[order_np]
-        part.blocks = grouped.tolist()
-        part.order = order_np.tolist()
-        part.starts = starts.tolist()
-        part.order_np = order_np
-        part.blocks_np = grouped
-        kernel = "numpy"
+    if isinstance(blocks, array) and blocks.typecode == "q":
+        column = np.frombuffer(blocks, dtype=np.int64)
     else:
-        mask = num_sets - 1
-        buckets: List[List[int]] = [[] for __ in range(num_sets)]
-        for i, block in enumerate(blocks):
-            buckets[block & mask].append(i)
-        order: List[int] = []
-        starts = [0]
-        for bucket in buckets:
-            order.extend(bucket)
-            starts.append(len(order))
-        part.blocks = [blocks[i] for i in order]
-        part.order = order
-        part.starts = starts
-        part.order_np = None
-        part.blocks_np = None
-        kernel = "python"
+        column = np.asarray(blocks, dtype=np.int64)
+    sets = column & (num_sets - 1)
+    order_np = np.argsort(sets, kind="stable")
+    counts = np.bincount(sets, minlength=num_sets)
+    starts = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    grouped = column[order_np]
+    part.blocks = grouped.tolist()
+    part.order = order_np.tolist()
+    part.starts = starts.tolist()
+    part.order_np = order_np
+    part.blocks_np = grouped
     if profile is not None:
         profile["partition"] = perf_counter() - start
-        profile["partition_kernel"] = kernel
     return part
 
 
@@ -226,9 +198,10 @@ def _count_rrip(seg, pos, ways, rmax, bimodal, rng, throttle, use_b,
                 fills) -> int:
     """RRIP count kernel for one set: plain, leader, or follower.
 
-    Plain SRRIP/BRRIP and DRRIP leaders pass ``use_b=None``: ``bimodal``
-    fixes the insertion (False = SRRIP, True = BRRIP drawing from
-    ``rng``). Leaders also pass a ``fills`` list that receives every
+    Plain BRRIP and DRRIP leaders pass ``use_b=None``: ``bimodal`` fixes
+    the insertion (False = SRRIP, True = BRRIP drawing from ``rng``);
+    plain SRRIP counts on :func:`_count_rrip_sync_stacked` instead.
+    Leaders also pass a ``fills`` list that receives every
     miss's global position from ``pos``; plain replays pass ``pos`` and
     ``fills`` as None. Followers pass the per-access ``use_b`` flags
     reconstructed from the PSEL series.
@@ -327,7 +300,7 @@ def _count_rrip_sync_stacked(
     nv = len(configs)
     starts = np.asarray(part.starts, dtype=np.int64)
     lens = np.diff(starts)
-    if nv == 0 or len(lens) == 0 or part.blocks_np is None:
+    if nv == 0 or len(lens) == 0:
         return [0] * nv
     maxlen = int(lens.max())
     num_sets = part.num_sets
@@ -826,7 +799,7 @@ def _walk_opt(seg, seg_next, pos, ways, buf, set_index) -> int:
 # Phase 2c: two-phase dueling (PSEL time-series reconstruction)
 # ----------------------------------------------------------------------
 
-def _psel_steps(a_fills, b_fills, duel, use_np: bool):
+def _psel_steps(a_fills, b_fills, duel):
     """Merge leader miss positions into the exact PSEL time-series.
 
     Returns ``(positions, values, flags)``: the sorted global positions of
@@ -837,21 +810,14 @@ def _psel_steps(a_fills, b_fills, duel, use_np: bool):
     saturating walk itself stays scalar — saturation breaks ``cumsum`` —
     but the event merge vectorizes.
     """
-    if use_np and (a_fills or b_fills):
-        pos_np = np.asarray(a_fills + b_fills, dtype=np.int64)
-        delta_np = np.ones(len(pos_np), dtype=np.int64)
-        delta_np[len(a_fills):] = -1
-        # Fill positions are unique (one access per position), so the
-        # unstable default sort is deterministic here.
-        order = np.argsort(pos_np)
-        positions = pos_np[order].tolist()
-        deltas = delta_np[order].tolist()
-    else:
-        events = sorted(
-            [(p, 1) for p in a_fills] + [(p, -1) for p in b_fills]
-        )
-        positions = [p for p, __ in events]
-        deltas = [d for __, d in events]
+    pos_np = np.asarray(a_fills + b_fills, dtype=np.int64)
+    delta_np = np.ones(len(pos_np), dtype=np.int64)
+    delta_np[len(a_fills):] = -1
+    # Fill positions are unique (one access per position), so the
+    # unstable default sort is deterministic here.
+    order = np.argsort(pos_np)
+    positions = pos_np[order].tolist()
+    deltas = delta_np[order].tolist()
     psel = duel.psel
     psel_max = duel.psel_max
     threshold = duel.threshold
@@ -868,7 +834,7 @@ def _psel_steps(a_fills, b_fills, duel, use_np: bool):
     return positions, values, flags
 
 
-def _make_flag_lookup(positions, flags, part: StreamPartition, use_np: bool):
+def _make_flag_lookup(positions, flags, part: StreamPartition):
     """Per-set follower-decision gather: ``lookup(lo, hi) -> [bool, ...]``.
 
     The flag for an access at global position ``p`` is the PSEL decision
@@ -876,18 +842,12 @@ def _make_flag_lookup(positions, flags, part: StreamPartition, use_np: bool):
     scalar model reads at that access's fill (a follower's own miss never
     moves PSEL).
     """
-    if use_np and part.order_np is not None:
-        pos_np = np.asarray(positions, dtype=np.int64)
-        flags_np = np.asarray(flags, dtype=bool)
+    pos_np = np.asarray(positions, dtype=np.int64)
+    flags_np = np.asarray(flags, dtype=bool)
 
-        def lookup(lo: int, hi: int) -> List[bool]:
-            idx = np.searchsorted(pos_np, part.order_np[lo:hi], side="left")
-            return flags_np[idx].tolist()
-    else:
-        order = part.order
-
-        def lookup(lo: int, hi: int) -> List[bool]:
-            return [flags[bisect_left(positions, p)] for p in order[lo:hi]]
+    def lookup(lo: int, hi: int) -> List[bool]:
+        idx = np.searchsorted(pos_np, part.order_np[lo:hi], side="left")
+        return flags_np[idx].tolist()
 
     return lookup
 
@@ -990,26 +950,21 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
     return hits
 
 
-def _gather_next_use(next_use, part: StreamPartition, use_np: bool):
+def _gather_next_use(next_use, part: StreamPartition):
     """Group the precomputed next-use column by the partition order."""
-    if use_np and part.order_np is not None:
-        if isinstance(next_use, array) and next_use.typecode == "q":
-            column = np.frombuffer(next_use, dtype=np.int64)
-        else:
-            column = np.asarray(next_use, dtype=np.int64)
-        return column[part.order_np].tolist()
-    return [next_use[p] for p in part.order]
+    if isinstance(next_use, array) and next_use.typecode == "q":
+        column = np.frombuffer(next_use, dtype=np.int64)
+    else:
+        column = np.asarray(next_use, dtype=np.int64)
+    return column[part.order_np].tolist()
 
 
 def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
-                policy, buf: Optional[_WalkBuf], use_np: bool) -> int:
+                policy, buf: Optional[_WalkBuf]) -> int:
     """Replay every set of a non-dueling per-set policy."""
     cls = type(policy)
     family = _KERNEL_FAMILIES[cls]
-    if (
-        buf is None and use_np and part.blocks_np is not None
-        and cls is SrripPolicy
-    ):
+    if buf is None and cls is SrripPolicy:
         # Count-mode SRRIP has a fully synchronous vectorized kernel (no
         # RNG, no residency skeleton to record): the stacked grid kernel
         # with one variant. BRRIP's per-set draws and walk mode stay on
@@ -1026,7 +981,7 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
                 f"OPT replayed against a mismatched stream: next-use column "
                 f"has {len(next_use)} entries for {len(part.blocks)} accesses"
             )
-        grouped_next = _gather_next_use(next_use, part, use_np)
+        grouped_next = _gather_next_use(next_use, part)
     ways = geometry.ways
     starts = part.starts
     blocks = part.blocks
@@ -1085,8 +1040,7 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
 
 
 def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
-                     policy, buf: Optional[_WalkBuf], use_np: bool,
-                     profile=None) -> int:
+                     policy, buf: Optional[_WalkBuf], profile=None) -> int:
     """Replay every set (count mode when ``buf`` is None); return hits.
 
     Dueling policies run in two phases: the leader pass produces the PSEL
@@ -1099,15 +1053,13 @@ def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
             part, geometry, policy, buf
         )
         psel_start = perf_counter()
-        positions, __, flags = _psel_steps(
-            a_fills, b_fills, policy.duel, use_np
-        )
-        lookup = _make_flag_lookup(positions, flags, part, use_np)
+        positions, __, flags = _psel_steps(a_fills, b_fills, policy.duel)
+        lookup = _make_flag_lookup(positions, flags, part)
         if profile is not None:
             profile["psel_series"] = perf_counter() - psel_start
         hits += _follower_pass(part, geometry, policy, buf, lookup, followers)
     else:
-        hits = _plain_pass(part, geometry, policy, buf, use_np)
+        hits = _plain_pass(part, geometry, policy, buf)
     if profile is not None:
         profile["set_kernels"] = perf_counter() - start
     return hits
@@ -1117,7 +1069,6 @@ def reconstruct_psel_series(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy,
-    use_numpy: Optional[bool] = None,
 ) -> Tuple[List[int], List[int]]:
     """The exact PSEL time-series of a dueling replay, from leaders alone.
 
@@ -1134,11 +1085,10 @@ def reconstruct_psel_series(
             f"policy {getattr(policy, 'name', policy)!r} is not a dueling "
             f"policy; no PSEL series exists"
         )
-    use_np = should_vectorize(use_numpy, len(stream.blocks), VECTORIZE_THRESHOLD)
-    part = partition_stream(stream.blocks, geometry.num_sets, use_numpy=use_np)
+    part = partition_stream(stream.blocks, geometry.num_sets)
     policy.bind(geometry)
     __, a_fills, b_fills, ___ = _leader_pass(part, geometry, policy, None)
-    positions, values, ____ = _psel_steps(a_fills, b_fills, policy.duel, use_np)
+    positions, values, ____ = _psel_steps(a_fills, b_fills, policy.duel)
     return positions, values
 
 
@@ -1161,7 +1111,7 @@ class SetReplayReconstruction(LruReplayReconstruction):
 
 
 def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
-                   geometry: CacheGeometry, use_np: bool,
+                   geometry: CacheGeometry,
                    profile=None) -> SetReplayReconstruction:
     """Stitch per-set skeletons into a global fill-ordered walk."""
     start = perf_counter()
@@ -1169,42 +1119,24 @@ def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
     n = buf.n
     count = buf.counter
     buf.live.sort()
-    if use_np and count:
-        fill_np = np.asarray(buf.res_fill, dtype=np.int64)
-        perm = np.argsort(fill_np)  # fill positions are unique
-        inv = np.empty(count, dtype=np.int64)
-        inv[perm] = np.arange(count, dtype=np.int64)
-        walk.res_block = np.asarray(buf.res_block, dtype=np.int64)[perm].tolist()
-        walk.res_fill = fill_np[perm].tolist()
-        walk.res_end = np.asarray(buf.res_end, dtype=np.int64)[perm].tolist()
-        walk.res_way = np.asarray(buf.res_way, dtype=np.int64)[perm].tolist()
-        evicted_np = np.asarray(buf.evicted, dtype=np.int64)
-        mapped = np.where(
-            evicted_np >= 0, inv[np.maximum(evicted_np, 0)], np.int64(-1)
-        )
-        walk.evicted_rid = mapped[perm].tolist()
-        rids_np = np.frombuffer(buf.rids, dtype=np.int64)
-        remapped = array("q", bytes(8 * n))
-        np.frombuffer(remapped, dtype=np.int64)[...] = inv[rids_np]
-        walk.rids = remapped
-        walk.live_rids = [int(inv[cid]) for __, ___, cid in buf.live]
-    else:
-        perm = sorted(range(count), key=buf.res_fill.__getitem__)
-        inv = [0] * count
-        for global_rid, concat_rid in enumerate(perm):
-            inv[concat_rid] = global_rid
-        walk.res_block = [buf.res_block[c] for c in perm]
-        walk.res_fill = [buf.res_fill[c] for c in perm]
-        walk.res_end = [buf.res_end[c] for c in perm]
-        walk.res_way = [buf.res_way[c] for c in perm]
-        walk.evicted_rid = [
-            inv[buf.evicted[c]] if buf.evicted[c] >= 0 else -1 for c in perm
-        ]
-        rids = buf.rids
-        for i in range(n):
-            rids[i] = inv[rids[i]]
-        walk.rids = rids
-        walk.live_rids = [inv[cid] for __, ___, cid in buf.live]
+    fill_np = np.asarray(buf.res_fill, dtype=np.int64)
+    perm = np.argsort(fill_np)  # fill positions are unique
+    inv = np.empty(count, dtype=np.int64)
+    inv[perm] = np.arange(count, dtype=np.int64)
+    walk.res_block = np.asarray(buf.res_block, dtype=np.int64)[perm].tolist()
+    walk.res_fill = fill_np[perm].tolist()
+    walk.res_end = np.asarray(buf.res_end, dtype=np.int64)[perm].tolist()
+    walk.res_way = np.asarray(buf.res_way, dtype=np.int64)[perm].tolist()
+    evicted_np = np.asarray(buf.evicted, dtype=np.int64)
+    mapped = np.where(
+        evicted_np >= 0, inv[np.maximum(evicted_np, 0)], np.int64(-1)
+    )
+    walk.evicted_rid = mapped[perm].tolist()
+    rids_np = np.frombuffer(buf.rids, dtype=np.int64)
+    remapped = array("q", bytes(8 * n))
+    np.frombuffer(remapped, dtype=np.int64)[...] = inv[rids_np]
+    walk.rids = remapped
+    walk.live_rids = [int(inv[cid]) for __, ___, cid in buf.live]
     walk.n = n
     walk.ways = geometry.ways
     walk.set_mask = geometry.num_sets - 1
@@ -1215,15 +1147,9 @@ def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
     if profile is not None:
         profile["assemble"] = perf_counter() - start
         start = perf_counter()
-    kernel = "python"
-    if use_np:
-        if _reconstruct_numpy(walk, stream):
-            kernel = "numpy"
-    if kernel == "python":
-        _reconstruct_python(walk, stream)
+    _reconstruct_metadata(walk, stream)
     if profile is not None:
         profile["reconstruct"] = perf_counter() - start
-        profile["reconstruct_kernel"] = kernel
     return walk
 
 
@@ -1231,7 +1157,6 @@ def reconstruct_setpath_replay(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> SetReplayReconstruction:
     """Replay ``stream`` under ``policy`` rebuilding the full walk.
@@ -1241,6 +1166,12 @@ def reconstruct_setpath_replay(
     as :func:`repro.sim.fastpath.reconstruct_lru_replay` (the probe layer
     consumes it), with degenerate distances (see
     :class:`SetReplayReconstruction`).
+
+    Raises:
+        SimulationError: for a policy without a set kernel, or a stream
+            whose core ids do not fit int64 masks
+            (:func:`repro.sim.fastpath.core_masks_fit`) — both before
+            ``policy`` is bound.
     """
     tier = setpath_tier_of(policy)
     if tier not in (REPLAY_SET, REPLAY_DUELING):
@@ -1248,15 +1179,12 @@ def reconstruct_setpath_replay(
             f"policy {getattr(policy, 'name', policy)!r} is not "
             f"setpath-eligible (tier {tier!r})"
         )
-    n = len(stream.blocks)
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
-    part = partition_stream(
-        stream.blocks, geometry.num_sets, use_numpy=use_np, profile=profile
-    )
+    _require_core_masks_fit(stream)
+    part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
     policy.bind(geometry)
-    buf = _WalkBuf(n)
-    _run_partitioned(part, geometry, policy, buf, use_np, profile=profile)
-    return _assemble_walk(buf, stream, geometry, use_np, profile=profile)
+    buf = _WalkBuf(len(stream.blocks))
+    _run_partitioned(part, geometry, policy, buf, profile=profile)
+    return _assemble_walk(buf, stream, geometry, profile=profile)
 
 
 def replay_setpath(
@@ -1264,7 +1192,6 @@ def replay_setpath(
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
     observers: Tuple = (),
-    use_numpy: Optional[bool] = None,
     profile=None,
 ) -> LlcSimResult:
     """Replay ``stream`` under an unbound per-set policy instance.
@@ -1286,11 +1213,9 @@ def replay_setpath(
             f"setpath-eligible (tier {tier!r})"
         )
     n = len(stream.blocks)
-    use_np = should_vectorize(use_numpy, n, VECTORIZE_THRESHOLD)
-    backend = "numpy" if use_np else "python"
     if observers:
         walk = reconstruct_setpath_replay(
-            stream, geometry, policy, use_numpy=use_numpy, profile=profile
+            stream, geometry, policy, profile=profile
         )
         phase_start = perf_counter()
         _replay_observers(walk, stream, tuple(observers))
@@ -1299,11 +1224,10 @@ def replay_setpath(
         hits, misses = walk.hits, walk.misses
     else:
         part = partition_stream(
-            stream.blocks, geometry.num_sets, use_numpy=use_np, profile=profile
+            stream.blocks, geometry.num_sets, profile=profile
         )
         policy.bind(geometry)
-        hits = _run_partitioned(part, geometry, policy, None, use_np,
-                                profile=profile)
+        hits = _run_partitioned(part, geometry, policy, None, profile=profile)
         misses = n - hits
     return LlcSimResult(
         policy=policy.name,
@@ -1313,5 +1237,5 @@ def replay_setpath(
         misses=misses,
         elapsed_sec=perf_counter() - start,
         tier=tier,
-        backend=backend,
+        backend="numpy",
     )

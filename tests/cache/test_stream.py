@@ -2,6 +2,7 @@
 
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.cache.stream import LlcAccess, LlcStream, LlcStreamBuilder
@@ -50,6 +51,21 @@ class TestLlcStream:
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(TraceError):
             LlcStream(array("b", [0]), array("q"), array("q"), array("b"))
+
+    @pytest.mark.parametrize("form", ("numpy", "list", "typecode"))
+    def test_non_array_columns_rejected(self, form):
+        # One column representation: numpy views or lists would leak
+        # non-int scalars into core masks (1 << np.int8(7) == -128).
+        columns = [array("b", [7]), array("q", [0x40]), array("q", [3]),
+                   array("b", [1])]
+        if form == "numpy":
+            columns[0] = np.array([7], dtype=np.int8)
+        elif form == "list":
+            columns[2] = [3]
+        else:
+            columns[1] = array("l", [0x40])
+        with pytest.raises(TraceError, match="array.array"):
+            LlcStream(*columns)
 
     def test_repr(self):
         assert "len=2" in repr(self.make())

@@ -1,16 +1,12 @@
 """Tests for LLC-stream persistence."""
 
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.stream_io import (
-    _read_llc_stream_mapped,
-    _read_llc_stream_streamed,
-    read_llc_stream,
-    write_llc_stream,
-)
+from repro.cache.stream_io import read_llc_stream, write_llc_stream
 from repro.common.errors import TraceError
 from repro.trace.io import write_trace
 from repro.trace.trace import Trace
@@ -40,6 +36,45 @@ class TestRoundtrip:
         path = tmp_path / "e.rllc"
         write_llc_stream(make_stream([]), path)
         assert len(read_llc_stream(path)) == 0
+
+    STREAM = [(i % 4, 0x40 + (i % 3), (i * 7) % 90, i % 5 == 0)
+              for i in range(400)]
+
+    @pytest.mark.parametrize("filename", ("a.rllc", "a.rllc.gz"))
+    def test_loads_array_columns(self, tmp_path, filename):
+        # Plain and gzip files take the same reader and yield the
+        # builder's column types.
+        path = tmp_path / filename
+        write_llc_stream(make_stream(self.STREAM), path)
+        loaded = read_llc_stream(path)
+        assert [(type(c), c.typecode) for c in loaded.columns()] == [
+            (array, "b"), (array, "q"), (array, "q"), (array, "b"),
+        ]
+        assert list(loaded) == list(make_stream(self.STREAM))
+
+    def test_plain_reserializes_byte_identically(self, tmp_path):
+        stream = make_stream(self.STREAM, name="rt2")
+        original = tmp_path / "a.rllc"
+        rewritten = tmp_path / "b.rllc"
+        write_llc_stream(stream, original)
+        write_llc_stream(read_llc_stream(original), rewritten)
+        assert original.read_bytes() == rewritten.read_bytes()
+
+    @pytest.mark.parametrize("filename", ("r.rllc", "r.rllc.gz"))
+    def test_reloaded_replay_matches_builder_replay(self, tmp_path,
+                                                    filename):
+        from repro.common.config import CacheGeometry
+        from repro.sim.multipass import run_policy_on_stream
+
+        stream = make_stream(self.STREAM, name="replay")
+        path = tmp_path / filename
+        write_llc_stream(stream, path)
+        loaded = read_llc_stream(path)
+        geometry = CacheGeometry(8 * 4 * 64, 4)
+        for policy in ("lru", "srrip", "ship"):
+            a = run_policy_on_stream(stream, geometry, policy, seed=5)
+            b = run_policy_on_stream(loaded, geometry, policy, seed=5)
+            assert a == b, policy
 
     @settings(max_examples=15)
     @given(
@@ -98,6 +133,12 @@ class TestErrors:
         with pytest.raises(TraceError, match="checksum"):
             read_llc_stream(path)
 
+    def test_empty_file_reports_truncated_header(self, tmp_path):
+        path = tmp_path / "empty.rllc"
+        path.write_bytes(b"")
+        with pytest.raises(TraceError, match="truncated header"):
+            read_llc_stream(path)
+
     def test_missing_footer_rejected(self, tmp_path):
         stream = make_stream([(0, 0, 1, False)])
         path = tmp_path / "f.rllc"
@@ -106,87 +147,6 @@ class TestErrors:
         path.write_bytes(blob[:-4])  # drop the CRC footer entirely
         with pytest.raises(TraceError, match="checksum"):
             read_llc_stream(path)
-
-
-class TestZeroCopyLoads:
-    """The mmap reader and the streamed reader are interchangeable."""
-
-    STREAM = [(i % 4, 0x40 + (i % 3), (i * 7) % 90, i % 5 == 0)
-              for i in range(400)]
-
-    def test_mapped_and_streamed_readers_agree(self, tmp_path):
-        stream = make_stream(self.STREAM, name="zc")
-        path = tmp_path / "zc.rllc"
-        write_llc_stream(stream, path)
-        mapped = _read_llc_stream_mapped(path)
-        streamed = _read_llc_stream_streamed(path)
-        assert mapped is not None
-        assert list(mapped) == list(streamed) == list(stream)
-        assert mapped.name == streamed.name == "zc"
-        assert mapped.num_cores == streamed.num_cores == stream.num_cores
-
-    def test_plain_load_is_mapped_and_views_the_file(self, tmp_path):
-        import numpy as np
-
-        stream = make_stream(self.STREAM)
-        path = tmp_path / "v.rllc"
-        write_llc_stream(stream, path)
-        loaded = read_llc_stream(path)
-        for column in loaded.columns():
-            assert isinstance(column, np.ndarray)
-            assert column.base is not None  # a view, not a copy
-
-    def test_mapped_stream_reserializes_byte_identically(self, tmp_path):
-        stream = make_stream(self.STREAM, name="rt2")
-        original = tmp_path / "a.rllc"
-        rewritten = tmp_path / "b.rllc"
-        write_llc_stream(stream, original)
-        write_llc_stream(read_llc_stream(original), rewritten)
-        assert original.read_bytes() == rewritten.read_bytes()
-
-    def test_gzip_takes_streamed_reader(self, tmp_path):
-        import numpy as np
-
-        stream = make_stream(self.STREAM)
-        path = tmp_path / "g.rllc.gz"
-        write_llc_stream(stream, path)
-        loaded = read_llc_stream(path)
-        assert not any(isinstance(c, np.ndarray) for c in loaded.columns())
-        assert list(loaded) == list(stream)
-
-    def test_numpyless_fallback_equivalent(self, tmp_path):
-        # A plain file the mapped reader cannot take falls back to the
-        # streamed reader, whose array.array columns carry no numpy.
-        stream = make_stream(self.STREAM, name="nofb")
-        path = tmp_path / "n.rllc"
-        write_llc_stream(stream, path)
-        loaded = _read_llc_stream_streamed(path)
-        assert list(loaded) == list(stream)
-        assert loaded.num_cores == stream.num_cores
-
-    def test_empty_file_falls_back_to_streamed_error(self, tmp_path):
-        # mmap refuses zero-length files; the fallback reader raises the
-        # ordinary truncation error instead of a mapping error.
-        path = tmp_path / "empty.rllc"
-        path.write_bytes(b"")
-        with pytest.raises(TraceError, match="truncated header"):
-            read_llc_stream(path)
-
-    def test_mapped_replay_matches_builder_replay(self, tmp_path):
-        # End to end: a replay over ndarray-backed columns must be
-        # indistinguishable from one over the builder's array.array.
-        from repro.common.config import CacheGeometry
-        from repro.sim.multipass import run_policy_on_stream
-
-        stream = make_stream(self.STREAM, name="replay")
-        path = tmp_path / "r.rllc"
-        write_llc_stream(stream, path)
-        loaded = read_llc_stream(path)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        for policy in ("lru", "srrip", "ship"):
-            a = run_policy_on_stream(stream, geometry, policy, seed=5)
-            b = run_policy_on_stream(loaded, geometry, policy, seed=5)
-            assert a == b, policy
 
 
 class TestVersionCompatibility:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.llc import ResidencyObserver
 from repro.cache.stream import LlcStream, LlcStreamBuilder
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.sim.experiment import CACHE_DIR_ENV
@@ -25,6 +26,24 @@ def _hermetic_cache_dir(tmp_path_factory):
         os.environ.pop(CACHE_DIR_ENV, None)
     else:
         os.environ[CACHE_DIR_ENV] = previous
+
+
+class RecordingObserver(ResidencyObserver):
+    """Logs every callback verbatim for sequence comparison."""
+
+    def __init__(self):
+        self.events = []
+
+    def residency_started(self, block, set_index, fill_ordinal, pc, core):
+        self.events.append(("started", block, set_index, fill_ordinal, pc, core))
+
+    def residency_ended(self, block, set_index, fill_ordinal, end_ordinal,
+                        fill_pc, fill_core, core_mask, write_mask, hits,
+                        other_hits, forced):
+        self.events.append((
+            "ended", block, set_index, fill_ordinal, end_ordinal, fill_pc,
+            fill_core, core_mask, write_mask, hits, other_hits, forced,
+        ))
 
 
 def make_stream(accesses, name="test-stream") -> LlcStream:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.config import CacheGeometry
 from repro.common.errors import ConfigError
 from repro.oracle.annotate import (
+    _build_stream_annotation_python,
     build_sharing_annotation,
     build_stream_annotation,
     oracle_hint_source,
@@ -93,17 +94,15 @@ class TestStreamAnnotation:
 
 
 class TestStreamAnnotationVectorized:
-    """The numpy annotation kernel is bit-identical to the Python scan."""
+    """The numpy annotation kernel is bit-identical to the reference scan."""
 
     def both(self, accesses, horizon_factor=3, cap=127):
         stream = make_stream(accesses)
-        python = build_stream_annotation(
-            stream, GEOMETRY, horizon_factor=horizon_factor, cap=cap,
-            use_numpy=False,
+        python = _build_stream_annotation_python(
+            stream, GEOMETRY, horizon_factor, cap
         )
         vectorized = build_stream_annotation(
             stream, GEOMETRY, horizon_factor=horizon_factor, cap=cap,
-            use_numpy=True,
         )
         assert list(vectorized) == list(python)
         return python
@@ -133,12 +132,7 @@ class TestStreamAnnotationVectorized:
         accesses = [
             ((i // 7) % 4, 0, (i * 31) % 11, False) for i in range(6_000)
         ]
-        stream = make_stream(accesses)
-        auto = build_stream_annotation(stream, GEOMETRY, horizon_factor=2)
-        python = build_stream_annotation(
-            stream, GEOMETRY, horizon_factor=2, use_numpy=False
-        )
-        assert list(auto) == list(python)
+        self.both(accesses, horizon_factor=2)
 
 
 class TestPolicyAnnotation:

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
-from repro.policies.opt import NO_NEXT_USE, BeladyOptPolicy, compute_next_use
+from repro.policies.opt import (
+    NO_NEXT_USE,
+    BeladyOptPolicy,
+    _compute_next_use_python,
+    compute_next_use,
+)
 from repro.policies.registry import make_policy
 from repro.sim.engine import LlcOnlySimulator
 from repro.sim.multipass import run_opt, run_policy_on_stream
@@ -34,11 +39,11 @@ class TestComputeNextUse:
 
 
 class TestComputeNextUseVectorized:
-    """The numpy kernel must be bit-identical to the Python scan."""
+    """The numpy kernel must be bit-identical to the reference scan."""
 
     def both(self, blocks):
-        python = compute_next_use(blocks, use_numpy=False)
-        vectorized = compute_next_use(blocks, use_numpy=True)
+        python = _compute_next_use_python(blocks)
+        vectorized = compute_next_use(blocks)
         assert list(vectorized) == list(python)
         return python
 
@@ -50,8 +55,8 @@ class TestComputeNextUseVectorized:
         # Every edge that produces the sentinel: empty input, a singleton,
         # all-distinct blocks (everything is a last use), and a final
         # access that is also a first use.
-        assert list(compute_next_use([], use_numpy=True)) == []
-        assert list(compute_next_use([7], use_numpy=True)) == [NO_NEXT_USE]
+        assert list(compute_next_use([])) == []
+        assert list(compute_next_use([7])) == [NO_NEXT_USE]
         distinct = self.both(list(range(10)))
         assert set(distinct) == {NO_NEXT_USE}
         tail_first = self.both([1, 1, 2])
@@ -72,10 +77,8 @@ class TestComputeNextUseVectorized:
         self.both([-5, 3, -5, -9, 3, -5])
 
     def test_large_stream_smoke(self):
-        # Above VECTORIZE_THRESHOLD so the auto path picks the kernel too.
         blocks = [(i * 2654435761) % 997 for i in range(10_000)]
-        auto = compute_next_use(blocks)
-        assert list(auto) == list(compute_next_use(blocks, use_numpy=False))
+        self.both(blocks)
 
 
 def brute_force_min_misses(blocks, capacity):

@@ -5,20 +5,22 @@ The load-bearing property is *bit-identity*: for every stream and geometry,
 ``LlcOnlySimulator(geometry, LruPolicy(), observers)`` replay produces —
 same hit/miss counts, same observer callbacks with the same arguments in
 the same order (victim-ended before fill-started, forced flushes in
-(set, way) order). Hypothesis drives random streams across geometries and
-both metadata-reconstruction kernels (numpy and the pure-Python twin).
+(set, way) order). Hypothesis drives random streams of 0-300 accesses
+across geometries through the numpy metadata reconstruction.
 """
 
 import os
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.llc import ResidencyObserver
 from repro.characterization.hits import SharingClassifier
 from repro.characterization.phases import SharingPhaseTracker
 from repro.common.config import CacheGeometry
+from repro.common.errors import SimulationError
 from repro.oracle.residency import FillSharingLog
 from repro.policies.lru import LruPolicy
+from repro.policies.rrip import SrripPolicy
 from repro.predictors.harness import PredictorHarness
 from repro.predictors.registry import make_predictor
 from repro.sim.engine import LlcOnlySimulator
@@ -31,7 +33,9 @@ from repro.sim.fastpath import (
     replay_lru_fastpath,
 )
 from repro.sim.multipass import run_policy_on_stream
-from tests.conftest import make_stream
+from repro.sim.probes import run_probed_replay
+from repro.sim.setpath import reconstruct_setpath_replay
+from tests.conftest import RecordingObserver, make_stream
 from tests.strategies import replay_stream_lists
 
 
@@ -41,24 +45,6 @@ GEOMETRIES = [
     CacheGeometry(2 * 4 * 64, 4),    # 2 sets x 4 ways
     CacheGeometry(8 * 8 * 64, 8),    # 8 sets x 8 ways
 ]
-
-
-class RecordingObserver(ResidencyObserver):
-    """Logs every callback verbatim for sequence comparison."""
-
-    def __init__(self):
-        self.events = []
-
-    def residency_started(self, block, set_index, fill_ordinal, pc, core):
-        self.events.append(("started", block, set_index, fill_ordinal, pc, core))
-
-    def residency_ended(self, block, set_index, fill_ordinal, end_ordinal,
-                        fill_pc, fill_core, core_mask, write_mask, hits,
-                        other_hits, forced):
-        self.events.append((
-            "ended", block, set_index, fill_ordinal, end_ordinal, fill_pc,
-            fill_core, core_mask, write_mask, hits, other_hits, forced,
-        ))
 
 
 def scalar_replay(stream, geometry, observers=()):
@@ -86,27 +72,26 @@ class TestEquivalence:
 
     @settings(max_examples=40, deadline=None)
     @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
-    def test_python_kernel_matches_scalar(self, accesses, geometry_index):
-        geometry = GEOMETRIES[geometry_index]
-        stream = make_stream(accesses)
-        slow_obs, fast_obs = RecordingObserver(), RecordingObserver()
-        scalar_replay(stream, geometry, observers=(slow_obs,))
-        replay_lru_fastpath(
-            stream, geometry, observers=(fast_obs,), use_numpy=False
-        )
-        assert fast_obs.events == slow_obs.events
-
-    @settings(max_examples=40, deadline=None)
-    @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
     def test_numpy_kernel_matches_python(self, accesses, geometry_index):
+        # The numpy metadata pass against the Python object model: every
+        # residency's masks and hit counts, keyed by its fill ordinal.
         geometry = GEOMETRIES[geometry_index]
         stream = make_stream(accesses)
-        py = reconstruct_lru_replay(stream, geometry, use_numpy=False)
-        np_ = reconstruct_lru_replay(stream, geometry, use_numpy=True)
-        assert list(np_.res_hits) == list(py.res_hits)
-        assert list(np_.res_other_hits) == list(py.res_other_hits)
-        assert list(np_.res_core_mask) == list(py.res_core_mask)
-        assert list(np_.res_write_mask) == list(py.res_write_mask)
+        walk = reconstruct_lru_replay(stream, geometry)
+        slow_obs = RecordingObserver()
+        scalar_replay(stream, geometry, observers=(slow_obs,))
+        expected = {
+            event[3]: event[7:11]
+            for event in slow_obs.events if event[0] == "ended"
+        }
+        actual = {
+            walk.res_fill[rid] + 1: (
+                walk.res_core_mask[rid], walk.res_write_mask[rid],
+                walk.res_hits[rid], walk.res_other_hits[rid],
+            )
+            for rid in range(walk.residencies)
+        }
+        assert actual == expected
 
     @settings(max_examples=40, deadline=None)
     @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
@@ -118,16 +103,47 @@ class TestEquivalence:
         assert fast == slow  # LlcSimResult equality excludes timing
 
     def test_wide_core_ids_defer_to_python(self):
-        # Core 63 overflows the int64 mask kernel; the numpy pass must
-        # defer rather than produce wrong masks.
-        stream = make_stream([(63, 0x100, b, False) for b in range(8)]
-                             + [(63, 0x100, b, False) for b in range(8)])
+        # Core 63 overflows the int64 mask kernel: observer-carrying
+        # replays must run on the Python object model, not build wrong
+        # masks on a fast tier.
+        stream = make_stream(
+            [(63, 0x100, b, False) for b in range(8)]
+            + [(c, 0x100, b, c == 2) for b in range(8) for c in (0, 2, 63)]
+        )
         geometry = CacheGeometry(2 * 4 * 64, 4)
-        obs_fast, obs_slow = RecordingObserver(), RecordingObserver()
-        replay_lru_fastpath(stream, geometry, observers=(obs_fast,),
-                            use_numpy=True)
-        scalar_replay(stream, geometry, observers=(obs_slow,))
-        assert obs_fast.events == obs_slow.events
+        for policy in ("lru", "srrip"):
+            obs_entry, obs_model = RecordingObserver(), RecordingObserver()
+            result = run_policy_on_stream(
+                stream, geometry, policy, observers=(obs_entry,)
+            )
+            run_policy_on_stream(
+                stream, geometry, policy, observers=(obs_model,),
+                fastpath=False,
+            )
+            assert result.tier == "scalar", policy
+            assert obs_entry.events == obs_model.events, policy
+            assert any(e[0] == "ended" and e[7] >> 63 for e in
+                       obs_entry.events), policy
+            # Without observers there are no masks: the fast tier stays.
+            assert run_policy_on_stream(
+                stream, geometry, policy
+            ).tier != "scalar"
+
+    def test_wide_core_ids_rejected_by_reconstruction(self):
+        stream = make_stream([(63, 0x100, b, False) for b in range(4)])
+        geometry = CacheGeometry(2 * 4 * 64, 4)
+        with pytest.raises(SimulationError, match="core ids"):
+            reconstruct_lru_replay(stream, geometry)
+        policy = SrripPolicy()
+        with pytest.raises(SimulationError, match="core ids"):
+            reconstruct_setpath_replay(stream, geometry, policy)
+        assert policy.geometry is None  # rejected before binding
+        with pytest.raises(SimulationError, match="core ids"):
+            replay_lru_fastpath(stream, geometry,
+                                observers=(RecordingObserver(),))
+        report = run_probed_replay(stream, geometry, "lru",
+                                   ["sharing", "reuse"])
+        assert report.tier == "scalar"
 
 
 class TestStackDistances:

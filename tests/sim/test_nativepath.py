@@ -13,6 +13,8 @@ undeclared-subclass, and bound-instance replays all land on the object
 model with ``backend == "model"``.
 """
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,6 +26,7 @@ from repro.sim.engine import LlcOnlySimulator
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import (
     NO_NATIVE_ENV,
+    _hash_pcs,
     native_eligible,
     replay_ship_nativepath,
     try_native_replay,
@@ -125,15 +128,15 @@ class TestShipBitIdentity:
         assert profile["native_backend"] == "compact"
 
     def test_numpy_twin_matches_python_signatures(self):
-        # The vectorized and pure-Python signature preparations feed the
-        # same kernel; force each and compare whole results.
-        stream = mixed_stream(2000, 80)
-        geometry = CacheGeometry(8 * 4 * 64, 4)
-        a = replay_ship_nativepath(stream, geometry, ShipPolicy(),
-                                   use_numpy=False)
-        b = replay_ship_nativepath(stream, geometry, ShipPolicy(),
-                                   use_numpy=True)
-        assert a == b
+        # The vectorized signature column is ShipPolicy._hash_pc applied
+        # access by access, on PCs wide enough to reach every shifted term.
+        policy = ShipPolicy()
+        pcs = [0, 0x4, 0x800, 0x80000, (1 << 40) + 0x1234, 0x7FFF_FFFF_FFFF]
+        pcs += [(i * 2654435761) & ((1 << 48) - 1) for i in range(500)]
+        mask = policy.shct_size - 1
+        assert _hash_pcs(array("q", pcs), mask) == [
+            policy._hash_pc(pc) for pc in pcs
+        ]
 
     def test_empty_stream(self):
         stream = make_stream([])

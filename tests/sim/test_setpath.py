@@ -1,15 +1,19 @@
 """Unit and equivalence tests for the set-partitioned replay engine.
 
-The big differential matrix (every policy, real streams, numpy twins,
-PSEL reconstruction) lives in ``tests/test_differential.py``; this file
-pins the engine's own contracts:
+The big differential matrix (every policy, real streams, numpy kernels
+against their references, PSEL reconstruction) lives in
+``tests/test_differential.py``; this file pins the engine's own
+contracts:
 
 * tier resolution — double eligibility (declared tier *and* an
   exact-type kernel), bound-instance demotion, undeclared subclasses;
 * the stream partition — a stable per-set grouping of positions;
 * observer exactness — the assembled walk replays the scalar model's
   callback sequence verbatim, argument for argument, for every kernel
-  family (and under hypothesis-driven adversarial streams);
+  family, under hypothesis-driven adversarial streams of 0-300 accesses
+  and on the small-stream edge cases (empty, one access, no hits, one
+  miss, dueling followers with no leader miss, fewer accesses than
+  ways);
 * the walk's degenerate-distance contract;
 * dispatch — :func:`run_policy_on_stream` takes eligible tiers, declines
   scalar-tier policies, and honours the gate.
@@ -18,7 +22,6 @@ pins the engine's own contracts:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.llc import ResidencyObserver
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
 from repro.policies.base import ReplacementPolicy
@@ -27,16 +30,17 @@ from repro.policies.opt import BeladyOptPolicy, compute_next_use
 from repro.policies.registry import POLICY_NAMES, make_policy
 from repro.policies.rrip import SrripPolicy
 from repro.sim.engine import LlcOnlySimulator
-from repro.sim.fastpath import FASTPATH_ENV, VECTORIZE_THRESHOLD
+from repro.sim.fastpath import FASTPATH_ENV
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.setpath import (
     partition_stream,
+    reconstruct_psel_series,
     reconstruct_setpath_replay,
     replay_setpath,
     replay_tier_table,
     setpath_tier_of,
 )
-from tests.conftest import make_stream
+from tests.conftest import RecordingObserver, make_stream
 from tests.strategies import replay_stream_lists
 
 SETPATH_POLICIES = (
@@ -52,24 +56,6 @@ GEOMETRIES = [
 ]
 
 
-class RecordingObserver(ResidencyObserver):
-    """Logs every callback verbatim for sequence comparison."""
-
-    def __init__(self):
-        self.events = []
-
-    def residency_started(self, block, set_index, fill_ordinal, pc, core):
-        self.events.append(("started", block, set_index, fill_ordinal, pc, core))
-
-    def residency_ended(self, block, set_index, fill_ordinal, end_ordinal,
-                        fill_pc, fill_core, core_mask, write_mask, hits,
-                        other_hits, forced):
-        self.events.append((
-            "ended", block, set_index, fill_ordinal, end_ordinal, fill_pc,
-            fill_core, core_mask, write_mask, hits, other_hits, forced,
-        ))
-
-
 def mixed_stream(n=4000, spread=160):
     """A deterministic multi-core read/write stream with reuse."""
     accesses = []
@@ -80,6 +66,20 @@ def mixed_stream(n=4000, spread=160):
 
 
 accesses_strategy = replay_stream_lists()
+
+# Small streams on the 128-set x 4-way geometry (GEOMETRIES[-1]). Set 1 is
+# a dueling follower (leaders sit at offsets 0 and 2 of every 4 sets).
+EDGE_STREAMS = {
+    "empty": [],
+    "single": [(1, 0x10, 7, True)],
+    "no-hits": [(i % 4, 0x10, 3 * i, i % 3 == 0) for i in range(40)],
+    "one-miss": [(i % 4, 0x20, 9, i % 2 == 0) for i in range(30)],
+    "follower-only": [
+        (i % 4, 0x30, 1 + 128 * (i % 7), i % 5 == 0) for i in range(60)
+    ],
+    "below-ways": [(0, 0x10, 0, False), (1, 0x10, 128, True),
+                   (2, 0x10, 0, False)],
+}
 
 
 class TestTierResolution:
@@ -126,13 +126,10 @@ class TestTierResolution:
 
 
 class TestPartition:
-    @pytest.mark.parametrize("use_numpy", [None, False])
-    def test_partition_is_stable_per_set_grouping(self, use_numpy):
+    def test_partition_is_stable_per_set_grouping(self):
         stream = mixed_stream(n=3000)
         num_sets = 8
-        part = partition_stream(
-            stream.blocks, num_sets, use_numpy=use_numpy
-        )
+        part = partition_stream(stream.blocks, num_sets)
         assert sorted(part.order) == list(range(len(stream)))
         assert part.starts[0] == 0 and part.starts[-1] == len(stream)
         for s in range(num_sets):
@@ -164,17 +161,14 @@ class TestObserverExactness:
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_counts_identical_across_geometries(self, geometry):
         # Count mode runs one kernel per family in every role: plain
-        # SRRIP/BRRIP and LIP/BIP, DIP/DRRIP leaders and (at 128 sets)
-        # followers. Below the vectorize threshold SRRIP takes the per-set
-        # kernel; above it, the synchronous numpy kernel.
-        for n, kernel in ((VECTORIZE_THRESHOLD // 2, "python"),
-                          (2 * VECTORIZE_THRESHOLD, "numpy")):
+        # SRRIP (the synchronous numpy kernel), BRRIP and LIP/BIP, and
+        # DIP/DRRIP leaders and (at 128 sets) followers, on streams
+        # either side of 4096 accesses.
+        for n in (2048, 8192):
             stream = mixed_stream(n=n, spread=geometry.num_blocks * 3)
             for policy in sorted(SETPATH_POLICIES):
-                profile = {}
                 fast = replay_setpath(
-                    stream, geometry, make_policy(policy, seed=5),
-                    profile=profile,
+                    stream, geometry, make_policy(policy, seed=5)
                 )
                 slow = LlcOnlySimulator(
                     geometry, make_policy(policy, seed=5)
@@ -182,7 +176,7 @@ class TestObserverExactness:
                 assert (fast.hits, fast.misses) == (slow.hits, slow.misses), (
                     policy, n,
                 )
-                assert profile["partition_kernel"] == kernel
+                assert fast.backend == "numpy"
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -203,6 +197,70 @@ class TestObserverExactness:
         )
         assert (result.hits, result.misses) == (ref.hits, ref.misses)
         assert fast.events == slow.events
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        policy=st.sampled_from(sorted(SETPATH_POLICIES)),
+        seed=st.integers(0, 5),
+        accesses=replay_stream_lists(min_size=0, max_size=300),
+        observed=st.booleans(),
+    )
+    def test_random_streams_with_followers_bit_identical(
+        self, policy, seed, accesses, observed
+    ):
+        # 128 sets: the dueling policies get follower sets, so both
+        # phases of the two-phase replay run; count mode too. Block b
+        # maps to tag b % 8 of set b // 8, so sets 0-5 (A leaders,
+        # B leaders and followers) each see up to 8 blocks over 4 ways.
+        stream = make_stream([
+            (core, pc, (block % 8) * 128 + block // 8, write)
+            for core, pc, block, write in accesses
+        ])
+        geometry = GEOMETRIES[-1]
+        slow, fast = RecordingObserver(), RecordingObserver()
+        ref = LlcOnlySimulator(
+            geometry, make_policy(policy, seed=seed),
+            observers=(slow,) if observed else (),
+        ).run(stream)
+        result = replay_setpath(
+            stream, geometry, make_policy(policy, seed=seed),
+            observers=(fast,) if observed else (),
+        )
+        assert (result.hits, result.misses) == (ref.hits, ref.misses)
+        assert fast.events == slow.events
+
+    @pytest.mark.parametrize("case", sorted(EDGE_STREAMS))
+    @pytest.mark.parametrize(
+        "policy", ("lru",) + tuple(sorted(SETPATH_POLICIES)) + ("opt",)
+    )
+    def test_edge_streams_match_model(self, policy, case):
+        stream = make_stream(EDGE_STREAMS[case])
+        geometry = GEOMETRIES[-1]
+
+        def run(fastpath):
+            observer = RecordingObserver()
+            instance = (
+                BeladyOptPolicy(compute_next_use(stream.blocks))
+                if policy == "opt" else make_policy(policy, seed=3)
+            )
+            result = run_policy_on_stream(
+                stream, geometry, instance, observers=(observer,),
+                fastpath=fastpath,
+            )
+            return result, observer.events
+
+        fast, fast_events = run(True)
+        slow, slow_events = run(False)
+        assert fast.tier in ("stack", "set", "dueling")
+        assert fast == slow
+        assert fast_events == slow_events
+
+    def test_follower_only_stream_has_no_leader_miss(self):
+        stream = make_stream(EDGE_STREAMS["follower-only"])
+        positions, values = reconstruct_psel_series(
+            stream, GEOMETRIES[-1], make_policy("drrip", seed=3)
+        )
+        assert positions == [] and len(values) == 1
 
     def test_opt_walk_matches_scalar(self):
         stream = mixed_stream()

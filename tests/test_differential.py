@@ -10,11 +10,13 @@ Two axes, each promising *bit-identical* results:
   match the scalar model exactly *and* record the tier that ran, while
   scalar-tier policies must be rejected by the dispatch (taking a fast
   tier for a policy it does not model would be the bug).
-* numpy vs pure Python — every dual-implementation kernel
-  (:func:`compute_next_use`, :func:`reconstruct_lru_replay`,
-  :func:`replay_lru_fastpath`, :func:`build_stream_annotation`,
-  :func:`partition_stream`, :func:`replay_setpath`) with the backend
-  forced each way.
+* numpy vs pure Python — every vectorized step against a pure-Python
+  reference: :func:`compute_next_use` and :func:`build_stream_annotation`
+  against their named reference scans, :func:`partition_stream` against
+  a stable sort, and the replays that use the numpy reconstruction
+  (:func:`reconstruct_lru_replay`, :func:`replay_lru_fastpath`,
+  :func:`replay_setpath`, :func:`reconstruct_psel_series`) against the
+  object model, observer callbacks included.
 
 The set-dueling tier additionally pins its PSEL reconstruction: the
 two-phase replay rebuilds the PSEL time-series from leader misses alone,
@@ -31,9 +33,15 @@ from bisect import bisect_right
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.oracle.annotate import build_stream_annotation
-from repro.policies.opt import compute_next_use
+from repro.oracle.annotate import (
+    BUDGET_CAP,
+    DEFAULT_HORIZON_FACTOR,
+    _build_stream_annotation_python,
+    build_stream_annotation,
+)
+from repro.policies.opt import _compute_next_use_python, compute_next_use
 from repro.policies.registry import POLICY_NAMES, make_policy
+from repro.sim.engine import LlcOnlySimulator
 from repro.sim.experiment import ExperimentContext
 from repro.sim.fastpath import (
     fastpath_eligible,
@@ -48,7 +56,7 @@ from repro.sim.setpath import (
     replay_tier_table,
     setpath_tier_of,
 )
-from tests.conftest import make_stream
+from tests.conftest import RecordingObserver, make_stream
 
 
 @pytest.fixture(scope="module")
@@ -199,62 +207,83 @@ class TestPselReconstruction:
             assert values[bisect_right(positions, p)] == expected, p
 
 
+def _model_events(stream, geometry, policy):
+    """Result and observer callbacks of the object-model replay."""
+    observer = RecordingObserver()
+    result = LlcOnlySimulator(geometry, policy, observers=(observer,)).run(
+        stream
+    )
+    return result, observer.events
+
+
 class TestNumpyVsPython:
+    """Each vectorized step against its pure-Python reference."""
+
     def test_compute_next_use(self, stream):
-        vectorized = compute_next_use(stream.blocks, use_numpy=True)
-        scalar = compute_next_use(stream.blocks, use_numpy=False)
+        vectorized = compute_next_use(stream.blocks)
+        scalar = _compute_next_use_python(stream.blocks)
         assert list(vectorized) == list(scalar)
 
     def test_replay_lru_fastpath(self, stream, geometry):
-        vectorized = replay_lru_fastpath(stream, geometry, use_numpy=True)
-        scalar = replay_lru_fastpath(stream, geometry, use_numpy=False)
+        observer = RecordingObserver()
+        vectorized = replay_lru_fastpath(stream, geometry,
+                                         observers=(observer,))
+        scalar, events = _model_events(stream, geometry,
+                                       make_policy("lru", seed=0))
         assert vectorized == scalar
+        assert observer.events == events
 
     def test_reconstruct_lru_replay(self, stream, geometry):
-        vectorized = reconstruct_lru_replay(stream, geometry, use_numpy=True)
-        scalar = reconstruct_lru_replay(stream, geometry, use_numpy=False)
-        assert vectorized.hits == scalar.hits
-        assert vectorized.misses == scalar.misses
-        assert vectorized.evictions == scalar.evictions
-        for column in ("distances", "rids", "res_block", "res_fill",
-                       "res_end", "res_way", "res_hits", "res_other_hits",
-                       "res_core_mask", "res_write_mask", "evicted_rid",
-                       "live_rids"):
-            assert list(getattr(vectorized, column)) == \
-                list(getattr(scalar, column)), column
+        walk = reconstruct_lru_replay(stream, geometry)
+        scalar, events = _model_events(stream, geometry,
+                                       make_policy("lru", seed=0))
+        assert (walk.hits, walk.misses) == (scalar.hits, scalar.misses)
+        ended = {e[3]: e for e in events if e[0] == "ended"}
+        assert walk.residencies == len(ended)
+        for rid in range(walk.residencies):
+            event = ended[walk.res_fill[rid] + 1]
+            assert (walk.res_core_mask[rid], walk.res_write_mask[rid],
+                    walk.res_hits[rid], walk.res_other_hits[rid]) \
+                == event[7:11]
+            assert walk.res_end[rid] == (-1 if event[11] else event[4] - 1)
 
     def test_partition_stream(self, stream, geometry):
-        vectorized = partition_stream(
-            stream.blocks, geometry.num_sets, use_numpy=True
-        )
-        scalar = partition_stream(
-            stream.blocks, geometry.num_sets, use_numpy=False
-        )
-        assert vectorized.order == scalar.order
-        assert vectorized.starts == scalar.starts
-        assert vectorized.blocks == scalar.blocks
+        vectorized = partition_stream(stream.blocks, geometry.num_sets)
+        mask = geometry.num_sets - 1
+        order = sorted(range(len(stream)),
+                       key=lambda i: stream.blocks[i] & mask)
+        assert vectorized.order == order
+        assert vectorized.blocks == [stream.blocks[i] for i in order]
+        assert vectorized.starts[-1] == len(stream)
 
     @pytest.mark.parametrize("policy", ["srrip", "drrip", "nru", "random"])
     def test_replay_setpath(self, stream, geometry, policy):
-        def run(use_numpy):
-            return replay_setpath(
-                stream, geometry, make_policy(policy, seed=1),
-                use_numpy=use_numpy,
-            )
-
-        assert run(True) == run(False)
+        observer = RecordingObserver()
+        vectorized = replay_setpath(
+            stream, geometry, make_policy(policy, seed=1),
+            observers=(observer,),
+        )
+        scalar, events = _model_events(stream, geometry,
+                                       make_policy(policy, seed=1))
+        assert vectorized == scalar
+        assert observer.events == events
+        assert replay_setpath(
+            stream, geometry, make_policy(policy, seed=1)
+        ) == scalar
 
     def test_reconstruct_psel_series(self, stream, geometry):
         for policy in ("dip", "drrip"):
-            vectorized = reconstruct_psel_series(
-                stream, geometry, make_policy(policy, seed=2), use_numpy=True
+            positions, values = reconstruct_psel_series(
+                stream, geometry, make_policy(policy, seed=2)
             )
-            scalar = reconstruct_psel_series(
-                stream, geometry, make_policy(policy, seed=2), use_numpy=False
-            )
-            assert vectorized == scalar
+            trace = _scalar_psel_trace(stream, geometry,
+                                       make_policy(policy, seed=2))
+            assert [values[bisect_right(positions, p)]
+                    for p in range(len(trace))] == trace
 
     def test_build_stream_annotation(self, stream, geometry):
-        vectorized = build_stream_annotation(stream, geometry, use_numpy=True)
-        scalar = build_stream_annotation(stream, geometry, use_numpy=False)
+        vectorized = build_stream_annotation(stream, geometry)
+        scalar = _build_stream_annotation_python(
+            stream, geometry, DEFAULT_HORIZON_FACTOR, BUDGET_CAP
+        )
         assert list(vectorized) == list(scalar)
