@@ -15,7 +15,8 @@ Two simulation forms are provided:
 """
 
 from repro.cache.private import PrivateCache
-from repro.cache.llc import ResidencyObserver, SharedLlc
+from repro.cache.llc import SharedLlc
+from repro.cache.residency import ResidencyObserver, ResidencyTable
 from repro.cache.stream import LlcStream, LlcStreamBuilder
 from repro.cache.stream_io import read_llc_stream, write_llc_stream
 from repro.cache.hierarchy import CmpHierarchy, HierarchyStats
@@ -24,6 +25,7 @@ __all__ = [
     "PrivateCache",
     "SharedLlc",
     "ResidencyObserver",
+    "ResidencyTable",
     "LlcStream",
     "LlcStreamBuilder",
     "read_llc_stream",

@@ -117,8 +117,8 @@ class CmpHierarchy:
         Args:
             trace: the interleaved multi-thread trace; thread ids must be
                 within the machine's core count.
-            flush: end live LLC residencies afterwards so observers see
-                every residency exactly once.
+            flush: end live LLC residencies afterwards and hand the
+                residency table to the observers.
 
         Raises:
             SimulationError: when the trace uses more threads than cores.

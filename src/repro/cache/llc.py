@@ -5,13 +5,15 @@ lives in the attached :class:`repro.policies.ReplacementPolicy`. On top of
 plain hit/miss simulation the LLC maintains *residency metadata* per way —
 fill ordinal, fill PC, fill core, the mask of cores that touched the block,
 the mask that wrote it, and the demand-hit count — because nearly every
-experiment in the paper consumes per-residency sharing information. When a
-residency ends (eviction, or the final flush) all registered
-:class:`ResidencyObserver` instances are notified.
+experiment in the paper consumes per-residency sharing information. With
+observers attached, every ended residency (eviction, or the final flush)
+appends one row to a log that :meth:`SharedLlc.flush_residencies` hands
+to them as a :class:`repro.cache.residency.ResidencyTable`.
 """
 
 from typing import List, Optional, Tuple
 
+from repro.cache.residency import ResidencyObserver, ResidencyTable
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
 from repro.policies.base import ReplacementPolicy
@@ -20,61 +22,16 @@ NO_BLOCK = -1
 """Way content marking an empty frame."""
 
 
-class ResidencyObserver:
-    """Receives one callback per completed LLC residency.
-
-    Subclass and override :meth:`residency_ended`. Arguments are plain ints
-    to keep the eviction path allocation-free.
-    """
-
-    def residency_started(
-        self, block: int, set_index: int, fill_ordinal: int, pc: int, core: int
-    ) -> None:
-        """Called when a fill starts a new residency (default: ignore).
-
-        Predictor harnesses override this to make (and log) a fill-time
-        prediction with the table state *as of the fill* — the point in time
-        the paper's predictors must commit to a decision.
-        """
-
-    def residency_ended(
-        self,
-        block: int,
-        set_index: int,
-        fill_ordinal: int,
-        end_ordinal: int,
-        fill_pc: int,
-        fill_core: int,
-        core_mask: int,
-        write_mask: int,
-        hits: int,
-        other_hits: int,
-        forced: bool,
-    ) -> None:
-        """Called when a block leaves the LLC (or at the end-of-run flush).
-
-        Args:
-            block: the block address.
-            set_index: set it resided in.
-            fill_ordinal: LLC access ordinal (1-based count value) of the
-                fill that started the residency.
-            end_ordinal: LLC access ordinal at which the residency ended.
-            fill_pc: PC of the instruction whose miss triggered the fill.
-            fill_core: core that triggered the fill.
-            core_mask: bitmask of cores that demand-accessed the block
-                during the residency (includes the filler).
-            write_mask: bitmask of cores that wrote it during the residency.
-            hits: number of demand hits the residency served.
-            other_hits: the subset of ``hits`` issued by cores other than
-                the filler (the residency's cross-core uses).
-            forced: True when the residency was ended by the final flush
-                rather than an eviction.
-        """
-        raise NotImplementedError
-
-
 class SharedLlc:
-    """Shared, inclusive LLC with a pluggable replacement policy."""
+    """Shared, inclusive LLC with a pluggable replacement policy.
+
+    ``observers`` receive the residency table at
+    :meth:`flush_residencies`. An observer whose :meth:`live_hook
+    <repro.cache.residency.ResidencyObserver.live_hook>` returns a
+    callable gets it called at every residency end as well, with
+    ``(block, fill_pc, fill_core, core_mask)``: the one live hook, for
+    predictor harnesses whose predictor the policy reads mid-replay.
+    """
 
     def __init__(
         self,
@@ -84,9 +41,14 @@ class SharedLlc:
     ):
         self.geometry = geometry
         self.policy = policy
-        self.observers: List[ResidencyObserver] = list(observers)
+        self.observers: Tuple[ResidencyObserver, ...] = tuple(observers)
         policy.bind(geometry)
         policy.attach(self)
+        self._rows: Optional[List[tuple]] = [] if observers else None
+        self._end_hooks = tuple(
+            hook for hook in (o.live_hook(policy) for o in self.observers)
+            if hook is not None
+        )
 
         num_sets = geometry.num_sets
         ways = geometry.ways
@@ -115,10 +77,6 @@ class SharedLlc:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def add_observer(self, observer: ResidencyObserver) -> None:
-        """Register a residency observer."""
-        self.observers.append(observer)
 
     def attach_probe_bus(self, bus) -> None:
         """Install per-access probe instrumentation (observability only).
@@ -199,45 +157,42 @@ class SharedLlc:
         self._hit_count[idx] = 0
         self._other_hits[idx] = 0
         self.policy.on_fill(set_index, way, block, pc, core, is_write)
-        if self.observers:
-            for observer in self.observers:
-                observer.residency_started(
-                    block, set_index, self.access_count, pc, core
-                )
         return False, evicted
 
     def _end_residency(self, set_index: int, way: int, forced: bool) -> None:
-        if not self.observers:
+        rows = self._rows
+        if rows is None:
             return
         block = self._blocks[set_index][way]
         idx = set_index * self.ways + way
-        for observer in self.observers:
-            observer.residency_ended(
-                block,
-                set_index,
-                self._fill_ordinal[idx],
-                self.access_count,
-                self._fill_pc[idx],
-                self._fill_core[idx],
-                self._core_mask[idx],
-                self._write_mask[idx],
-                self._hit_count[idx],
-                self._other_hits[idx],
-                forced,
-            )
+        rows.append((
+            block, set_index, self._fill_ordinal[idx], self.access_count,
+            self._fill_pc[idx], self._fill_core[idx], self._core_mask[idx],
+            self._write_mask[idx], self._hit_count[idx],
+            self._other_hits[idx], int(forced),
+        ))
+        for hook in self._end_hooks:
+            hook(block, self._fill_pc[idx], self._fill_core[idx],
+                 self._core_mask[idx])
 
     def flush_residencies(self) -> None:
-        """End every live residency (call once, at end of simulation).
+        """End every live residency and hand the table to the observers.
 
-        Blocks stay resident — only the observers are notified — so stats
-        cover blocks that never got evicted. Calling this mid-run would
-        double-count residencies.
+        Call once, at end of simulation. Blocks stay resident — only the
+        residency log is closed — so the table covers blocks that never
+        got evicted. Calling this mid-run would double-count residencies.
         """
+        if self._rows is None:
+            return
         for set_index in range(self.num_sets):
             set_blocks = self._blocks[set_index]
             for way in range(self.ways):
                 if set_blocks[way] != NO_BLOCK:
                     self._end_residency(set_index, way, forced=True)
+        table = ResidencyTable.from_rows(self._rows)
+        self._rows = []
+        for observer in self.observers:
+            observer.consume(table)
 
     def occupancy(self) -> int:
         """Number of valid blocks currently resident."""

@@ -9,9 +9,11 @@ served them.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
-from repro.cache.llc import ResidencyObserver
+import numpy as np
+
+from repro.cache.residency import ResidencyObserver
 from repro.common.stats import ratio
 
 
@@ -85,27 +87,32 @@ class SharingClassifier(ResidencyObserver):
     def __init__(self):
         self.breakdown = HitBreakdown()
 
-    def residency_ended(
-        self, block, set_index, fill_ordinal, end_ordinal, fill_pc, fill_core,
-        core_mask, write_mask, hits, other_hits, forced,
-    ) -> None:
+    def consume(self, table) -> None:
         b = self.breakdown
-        b.residencies += 1
-        b.hits += hits
-        degree = popcount(core_mask)
-        b.degree_residencies[degree] = b.degree_residencies.get(degree, 0) + 1
-        b.degree_hits[degree] = b.degree_hits.get(degree, 0) + hits
+        hits = table.hits
+        degree = table.degree()
         shared = degree >= 2
-        if shared:
-            b.shared_residencies += 1
-            b.shared_hits += hits
-            if write_mask:
-                b.rw_shared_residencies += 1
-                b.rw_shared_hits += hits
-            else:
-                b.ro_shared_residencies += 1
-                b.ro_shared_hits += hits
-        if hits == 0:
-            b.dead_residencies += 1
-            if not shared:
-                b.dead_private_residencies += 1
+        rw = shared & (table.write_mask != 0)
+        ro = shared & ~rw
+        dead = hits == 0
+        b.residencies += len(table)
+        b.hits += int(hits.sum())
+        b.shared_residencies += int(shared.sum())
+        b.shared_hits += int(hits[shared].sum())
+        b.rw_shared_residencies += int(rw.sum())
+        b.rw_shared_hits += int(hits[rw].sum())
+        b.ro_shared_residencies += int(ro.sum())
+        b.ro_shared_hits += int(hits[ro].sum())
+        b.dead_residencies += int(dead.sum())
+        b.dead_private_residencies += int((dead & ~shared).sum())
+        # Degrees enter the histograms in order of first appearance, as
+        # a row-by-row fold would insert them.
+        values, first = np.unique(degree, return_index=True)
+        for value in values[np.argsort(first)].tolist():
+            rows = degree == value
+            b.degree_residencies[value] = (
+                b.degree_residencies.get(value, 0) + int(rows.sum())
+            )
+            b.degree_hits[value] = (
+                b.degree_hits.get(value, 0) + int(hits[rows].sum())
+            )

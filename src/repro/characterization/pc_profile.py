@@ -15,8 +15,9 @@ for the PC predictor's failure.
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.cache.llc import ResidencyObserver
-from repro.characterization.hits import popcount
+import numpy as np
+
+from repro.cache.residency import ResidencyObserver
 from repro.common.stats import ratio
 
 
@@ -56,15 +57,17 @@ class PcSharingProfiler(ResidencyObserver):
     def __init__(self):
         self._counts: Dict[int, List[int]] = {}  # pc -> [private, shared]
 
-    def residency_ended(
-        self, block, set_index, fill_ordinal, end_ordinal, fill_pc, fill_core,
-        core_mask, write_mask, hits, other_hits, forced,
-    ) -> None:
-        counts = self._counts.get(fill_pc)
-        if counts is None:
-            counts = [0, 0]
-            self._counts[fill_pc] = counts
-        counts[1 if popcount(core_mask) >= 2 else 0] += 1
+    def consume(self, table) -> None:
+        pcs, inverse = np.unique(table.fill_pc, return_inverse=True)
+        shared = np.bincount(inverse, weights=table.shared(),
+                             minlength=len(pcs)).astype(np.int64)
+        total = np.bincount(inverse, minlength=len(pcs))
+        for pc, private_count, shared_count in zip(
+            pcs.tolist(), (total - shared).tolist(), shared.tolist()
+        ):
+            counts = self._counts.setdefault(pc, [0, 0])
+            counts[0] += private_count
+            counts[1] += shared_count
 
     def finalize(self) -> PcProfile:
         """Fold the per-PC counts into a :class:`PcProfile`."""

@@ -10,10 +10,10 @@ predictability result.
 """
 
 from dataclasses import dataclass
-from typing import Dict
 
-from repro.cache.llc import ResidencyObserver
-from repro.characterization.hits import popcount
+import numpy as np
+
+from repro.cache.residency import ResidencyObserver
 from repro.common.stats import ratio
 
 
@@ -77,54 +77,62 @@ class PhaseStats:
 class SharingPhaseTracker(ResidencyObserver):
     """Observer accumulating :class:`PhaseStats`.
 
-    Keeps two bits per distinct block (last outcome, flipped-ever) plus a
-    residency count; memory is proportional to the block footprint.
+    Keeps, per distinct block, its last outcome, whether it ever flipped
+    and its residency count; memory is proportional to the block
+    footprint.
     """
 
-    _UNSEEN = -1
-
     def __init__(self):
-        self._last: Dict[int, int] = {}
-        self._count: Dict[int, int] = {}
-        self._flipped: Dict[int, bool] = {}
+        empty = np.zeros(0, dtype=np.int64)
+        self._blocks = empty  # sorted distinct blocks seen so far
+        self._last = empty
+        self._count = empty
+        self._flipped = empty
         self.stats = PhaseStats()
 
-    def residency_ended(
-        self, block, set_index, fill_ordinal, end_ordinal, fill_pc, fill_core,
-        core_mask, write_mask, hits, other_hits, forced,
-    ) -> None:
-        shared = 1 if popcount(core_mask) >= 2 else 0
+    def consume(self, table) -> None:
+        if not len(table):
+            return
+        # Each known block enters as one pseudo-row carrying its last
+        # outcome, ahead of the new rows; a stable sort by block then
+        # lines up every block's residencies in end order.
+        prior = len(self._blocks)
+        blocks = np.concatenate((self._blocks, table.block))
+        shared = np.concatenate((self._last, table.shared().astype(np.int64)))
+        order = np.argsort(blocks, kind="stable")
+        blocks, shared = blocks[order], shared[order]
+        new = (order >= prior).astype(np.int64)
+        pair = (blocks[1:] == blocks[:-1]) & (new[1:] == 1)
+        before, after = shared[:-1][pair], shared[1:][pair]
         stats = self.stats
-        last = self._last.get(block, self._UNSEEN)
-        if last != self._UNSEEN:
-            if last and shared:
-                stats.shared_to_shared += 1
-            elif last and not shared:
-                stats.shared_to_private += 1
-            elif shared:
-                stats.private_to_shared += 1
-            else:
-                stats.private_to_private += 1
-            if last != shared:
-                self._flipped[block] = True
-        self._last[block] = shared
-        self._count[block] = self._count.get(block, 0) + 1
+        stats.shared_to_shared += int((before & after).sum())
+        stats.shared_to_private += int((before & (1 - after)).sum())
+        stats.private_to_shared += int(((1 - before) & after).sum())
+        stats.private_to_private += int(((1 - before) & (1 - after)).sum())
+
+        starts = np.flatnonzero(np.append(True, blocks[1:] != blocks[:-1]))
+        ends = np.append(starts[1:], len(blocks)) - 1
+        flips = np.append(False, pair & (shared[1:] != shared[:-1]))
+        flipped = np.logical_or.reduceat(flips, starts).astype(np.int64)
+        counts = np.add.reduceat(new, starts)
+        group_blocks = blocks[starts]
+        if prior:
+            known = np.searchsorted(group_blocks, self._blocks)
+            flipped[known] |= self._flipped
+            counts[known] += self._count
+        self._blocks = group_blocks
+        self._last = shared[ends]
+        self._count = counts
+        self._flipped = flipped
 
     def finalize(self) -> PhaseStats:
         """Fold per-block summaries into the stats; call after the run."""
         stats = self.stats
-        stats.blocks_always_shared = 0
-        stats.blocks_always_private = 0
-        stats.blocks_bimodal = 0
-        stats.single_residency_blocks = 0
-        for block, count in self._count.items():
-            if count == 1:
-                stats.single_residency_blocks += 1
-                continue
-            if self._flipped.get(block):
-                stats.blocks_bimodal += 1
-            elif self._last[block]:
-                stats.blocks_always_shared += 1
-            else:
-                stats.blocks_always_private += 1
+        multi = self._count > 1
+        bimodal = multi & (self._flipped == 1)
+        steady = multi & (self._flipped == 0)
+        stats.single_residency_blocks = int((self._count == 1).sum())
+        stats.blocks_bimodal = int(bimodal.sum())
+        stats.blocks_always_shared = int((steady & (self._last == 1)).sum())
+        stats.blocks_always_private = int((steady & (self._last == 0)).sum())
         return stats

@@ -12,8 +12,9 @@ annotate the fills of pass *k+1*.
 
 from array import array
 
-from repro.cache.llc import ResidencyObserver
-from repro.characterization.hits import popcount
+import numpy as np
+
+from repro.cache.residency import ResidencyObserver
 
 
 class FillSharingLog(ResidencyObserver):
@@ -25,11 +26,7 @@ class FillSharingLog(ResidencyObserver):
         self.shared_fills = 0
         self.total_fills = 0
 
-    def residency_ended(
-        self, block, set_index, fill_ordinal, end_ordinal, fill_pc, fill_core,
-        core_mask, write_mask, hits, other_hits, forced,
-    ) -> None:
-        self.total_fills += 1
-        self.budgets[fill_ordinal] = other_hits
-        if popcount(core_mask) >= 2:
-            self.shared_fills += 1
+    def consume(self, table) -> None:
+        self.total_fills += len(table)
+        np.frombuffer(self.budgets, dtype=np.int32)[table.fill] = table.other_hits
+        self.shared_fills += int(table.shared().sum())

@@ -26,6 +26,13 @@ class ConfusionMatrix:
         else:
             self.true_negative += 1
 
+    def update_many(self, predicted, actual) -> None:
+        """Record aligned boolean arrays of predictions and truths."""
+        self.true_positive += int((predicted & actual).sum())
+        self.false_positive += int((predicted & ~actual).sum())
+        self.false_negative += int((~predicted & actual).sum())
+        self.true_negative += int((~predicted & ~actual).sum())
+
     @property
     def total(self) -> int:
         """Scored fills."""

@@ -39,15 +39,19 @@ class _CounterTablePredictor(SharingPredictor):
         self._counters = [self.threshold - 1 if self.threshold > 0 else 0] * self.size
         self._tags = [0] * self.size if tag_bits else None
         self._counter_bits = counter_bits
+        self._slots = {}  # key -> (index, tag); the hash is pure
 
     def _key(self, block: int, pc: int, core: int) -> int:
         raise NotImplementedError
 
     def _slot(self, key: int):
-        hashed = _mix(key)
-        index = hashed & self._index_mask
-        tag = (hashed >> self.index_bits) & self._tag_mask
-        return index, tag
+        slot = self._slots.get(key)
+        if slot is None:
+            hashed = _mix(key)
+            slot = (hashed & self._index_mask,
+                    (hashed >> self.index_bits) & self._tag_mask)
+            self._slots[key] = slot
+        return slot
 
     def predict(self, block: int, pc: int, core: int) -> bool:
         index, tag = self._slot(self._key(block, pc, core))

@@ -29,7 +29,6 @@ from repro.cache.llc import SharedLlc
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.policies.base import ReplacementPolicy
-from repro.sim import telemetry
 from repro.sim.results import LlcSimResult
 
 
@@ -56,7 +55,8 @@ class LlcOnlySimulator:
 
         Args:
             stream: the recorded LLC demand stream.
-            flush: notify observers of still-live residencies afterwards.
+            flush: end still-live residencies afterwards and hand the
+                residency table to the observers.
             profile: optional dict receiving per-stage wall times
                 (``replay_loop``, ``flush``) for the replay profiler;
                 ``None`` (the default) times nothing beyond the loop.
@@ -73,7 +73,7 @@ class LlcOnlySimulator:
                 profile["flush"] = perf_counter() - flush_start
         if profile is not None:
             profile["replay_loop"] = elapsed
-        result = LlcSimResult(
+        return LlcSimResult(
             policy=self.llc.policy.name,
             stream_name=stream.name,
             accesses=self.llc.access_count,
@@ -82,14 +82,3 @@ class LlcOnlySimulator:
             elapsed_sec=elapsed,
             backend="model",
         )
-        # One event per replay (never per access): telemetry overhead on a
-        # warm replay cell is a single line append, disabled it is one
-        # global None check inside telemetry.emit.
-        telemetry.emit(
-            "span", stage="replay", policy=result.policy,
-            stream=result.stream_name, wall_sec=round(elapsed, 6),
-            accesses=result.accesses, hits=result.hits,
-            misses=result.misses, fastpath=False, tier=result.tier,
-            backend=result.backend,
-        )
-        return result

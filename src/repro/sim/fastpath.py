@@ -10,30 +10,29 @@ victim-selection bookkeeping: ``hit iff distance < ways``.
 
 This module exploits that to replace the scalar
 :meth:`repro.cache.llc.SharedLlc.access` loop (the dominant cost of a warm
-sweep) for plain-LRU replays with three cheaper phases:
+sweep) for plain-LRU replays with a cheaper walk:
 
-1. **Stack walk** — one lean pass computing every access's capped stack
-   distance, the hit/miss classification, and the residency skeleton
-   (fill/eviction positions, way assignment). The walk is inherently
-   sequential (each distance depends on the whole preceding permutation of
-   the set's stack) but touches a fraction of the state the full LLC model
-   maintains per access.
-2. **Residency metadata reconstruction** — per-residency hit counts,
-   cross-core ("other") hit counts, core masks and write masks rebuilt
-   *offline* from the classified stream, with ``numpy`` segmented
-   reductions (``bincount``/``reduceat``) over the stream columns. Masks
-   are int64, so streams with core ids above 62 have no fast observer
-   replay: :func:`core_masks_fit` tells the replay entry point to run
-   them on the object model instead.
-3. **Observer replay** — registered :class:`ResidencyObserver` instances
-   receive exactly the callback sequence the scalar ``SharedLlc`` would
-   have produced: ``residency_ended`` for the victim then
-   ``residency_started`` for the fill at each eviction, in stream order,
-   and forced ``residency_ended`` flushes in (set, way) order at the end.
+1. **LRU walk** — one lean pass over per-set MRU-ordered block lists.
+   Count-only replays stop there. Replays with observers also record, per
+   miss, the hits so far (which locates the miss in the stream) and the
+   way the fill took — the lowest free way while the set fills, the
+   victim's way afterwards, exactly as the scalar model assigns them.
+2. **Residency table** — everything else observers need is rebuilt
+   offline from those fills (:meth:`ResidencyTable.from_fills
+   <repro.cache.residency.ResidencyTable.from_fills>`): ends from the
+   next fill into the same frame, hit counts and core/write masks from
+   segmented ``numpy`` reductions over the stream columns. Masks are
+   int64, so streams with core ids above 62 have no fast observer replay:
+   :func:`core_masks_fit` tells the replay entry point to run them on the
+   object model instead.
+3. **Consumption** — each observer reduces over the table once
+   (:meth:`ResidencyObserver.consume
+   <repro.cache.residency.ResidencyObserver.consume>`); no per-residency
+   callbacks run.
 
 All three phases are deterministic and equivalence-tested against the
 scalar path: results are **bit-identical** — same hits/misses/evictions,
-same observer callbacks in the same order with the same arguments. This
+and the same residency table, row for row, as the object model logs. This
 stack-distance path is the ``stack`` replay tier; which tier a policy may
 take is declared by the policy itself
 (:meth:`repro.policies.base.ReplacementPolicy.replay_tier`) and resolved
@@ -43,12 +42,12 @@ else replays through the scalar model. ``REPRO_SIM_NO_FASTPATH=1`` (or
 ``--no-fastpath`` on the CLI) forces the scalar path everywhere.
 """
 
-from array import array
 from time import perf_counter
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.residency import ResidencyTable
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
@@ -121,41 +120,6 @@ def fastpath_eligible(policy) -> bool:
     return replay_tier_of(policy) == REPLAY_STACK
 
 
-class LruReplayReconstruction:
-    """Everything a scalar LRU replay produces, rebuilt offline.
-
-    Per-access arrays (length ``n``):
-
-    * ``distances`` — capped per-set LRU stack distance: exact values in
-      ``[0, ways)`` for hits, the sentinel ``ways`` for any access whose
-      true distance is ``>= ways`` (including cold first touches, whose
-      distance is infinite). The cap is what makes the walk O(ways) per
-      access; nothing downstream needs the uncapped tail.
-    * ``rids`` — the residency id (fill order, 0-based) each access lands
-      in.
-
-    Per-residency arrays (length ``residencies``, fill order): block, fill
-    access index, evicting access index (``-1`` while live), way, hit and
-    other-hit counts, core/write masks. ``evicted_rid[j]`` is the residency
-    evicted by fill ``j`` (``-1`` for fills into empty frames), and
-    ``live_rids`` lists the residencies still resident at end-of-stream in
-    the (set, way) order the scalar flush visits them.
-    """
-
-    __slots__ = (
-        "n", "ways", "set_mask", "hits", "misses", "evictions",
-        "distances", "rids",
-        "res_block", "res_fill", "res_end", "res_way",
-        "res_hits", "res_other_hits", "res_core_mask", "res_write_mask",
-        "evicted_rid", "live_rids",
-    )
-
-    @property
-    def residencies(self) -> int:
-        """Number of residencies (= fills = misses)."""
-        return len(self.res_block)
-
-
 def _histogram_walk(blocks: List[int], num_sets: int, ways: int) -> List[int]:
     """Histogram of capped per-set LRU stack distances, in one walk.
 
@@ -196,18 +160,20 @@ def _histogram_walk(blocks: List[int], num_sets: int, ways: int) -> List[int]:
     return counts
 
 
-def _count_walk(
-    blocks: List[int], num_sets: int, ways: int
-) -> Tuple[int, int, int, int]:
-    """Classification-only stack walk: ``(n, hits, misses, evictions)``.
+def _lru_walk(blocks: List[int], num_sets: int, ways: int,
+              fills: Optional[List[int]] = None) -> int:
+    """The LRU walk: returns hits; ``fills`` (when a list) records misses.
 
-    The minimal form of the walk for replays with no observers attached:
-    per-set MRU-ordered lists only, no distances, no residency skeleton.
-    Membership and move-to-MRU are C-level scans over at most ``ways``
-    ints, so the per-access cost is a handful of bytecodes.
+    Per-set lists keep residents in LRU→MRU order, so membership and
+    move-to-MRU are C-level scans over at most ``ways`` ints. With
+    ``fills`` given, each miss appends ``hits * ways + way``: the hits
+    before it (the ``k``-th miss sits at stream position ``k + hits``)
+    and the way the fill took. Count-only replays pass no list and pay
+    two ``None`` checks per miss.
     """
     set_mask = num_sets - 1
     stacks = [[] for __ in range(num_sets)]
+    way_of = {}
     hits = 0
     for block in blocks:
         st = stacks[block & set_mask]
@@ -215,101 +181,29 @@ def _count_walk(
             st.remove(block)
             st.append(block)
             hits += 1
-        elif len(st) == ways:
-            del st[0]
-            st.append(block)
-        else:
-            st.append(block)
-    n = len(blocks)
-    misses = n - hits
-    occupancy = sum(len(st) for st in stacks)
-    return n, hits, misses, misses - occupancy
-
-
-def _stack_walk(blocks: List[int], num_sets: int, ways: int) -> LruReplayReconstruction:
-    """Phase 1: the sequential stack walk.
-
-    One pass maintaining, per set, the resident blocks in LRU→MRU order
-    (a plain list of at most ``ways`` ints — ``list.index`` over <= 16
-    entries runs at C speed) plus two global dicts mapping resident blocks
-    to their residency id and way. Produces distances, hit/miss flags
-    (implicit in the distances), and the complete residency skeleton.
-    """
-    out = LruReplayReconstruction()
-    n = len(blocks)
-    set_mask = num_sets - 1
-    distances = array("i", bytes(4 * n))
-    rids = array("q", bytes(8 * n))
-    stacks = [[] for __ in range(num_sets)]
-    res_of = {}  # block -> live residency id (blocks are unique per set)
-    way_of = {}  # block -> way currently holding it
-    res_block: List[int] = []
-    res_fill: List[int] = []
-    res_end: List[int] = []
-    res_way: List[int] = []
-    evicted_rid: List[int] = []
-    hits = 0
-
-    res_of_get = res_of.get
-    for i, block in enumerate(blocks):
-        rid = res_of_get(block)
-        if rid is not None:
-            st = stacks[block & set_mask]
-            idx = st.index(block)
-            distances[i] = len(st) - 1 - idx
-            del st[idx]
-            st.append(block)
-            rids[i] = rid
-            hits += 1
             continue
-        distances[i] = ways
-        st = stacks[block & set_mask]
-        new_rid = len(res_block)
         if len(st) == ways:
             victim = st.pop(0)
-            victim_rid = res_of.pop(victim)
-            res_end[victim_rid] = i
-            way = way_of.pop(victim)
-            evicted_rid.append(victim_rid)
+            if fills is not None:
+                way = way_of.pop(victim)
         else:
-            # While the set is filling, the scalar model picks the lowest
-            # free way; with no back-invalidation during replay that is
-            # exactly the number of blocks already resident.
+            # While the set fills, the scalar model picks the lowest free
+            # way; with no back-invalidation during replay that is exactly
+            # the number of blocks already resident.
             way = len(st)
-            evicted_rid.append(-1)
         st.append(block)
-        res_of[block] = new_rid
-        way_of[block] = way
-        res_block.append(block)
-        res_fill.append(i)
-        res_end.append(-1)
-        res_way.append(way)
-        rids[i] = new_rid
-
-    out.n = n
-    out.ways = ways
-    out.set_mask = set_mask
-    out.hits = hits
-    out.misses = n - hits
-    out.evictions = len(res_block) - len(res_of)
-    out.distances = distances
-    out.rids = rids
-    out.res_block = res_block
-    out.res_fill = res_fill
-    out.res_end = res_end
-    out.res_way = res_way
-    out.evicted_rid = evicted_rid
-    # The scalar flush walks sets in index order and ways in way order.
-    out.live_rids = sorted(
-        res_of.values(),
-        key=lambda rid: (res_block[rid] & set_mask, res_way[rid]),
-    )
-    return out
+        if fills is not None:
+            way_of[block] = way
+            fills.append(hits * ways + way)
+    return hits
 
 
-# ----------------------------------------------------------------------
-# Phase 2: residency metadata reconstruction
-# ----------------------------------------------------------------------
+def decode_fills(fills: List[int], ways: int):
+    """``(positions, ways)`` int64 columns of a walk's ``fills`` record."""
+    packed = np.asarray(fills, dtype=np.int64)
+    return (np.arange(len(packed), dtype=np.int64) + packed // ways,
+            packed % ways)
+
 
 _MAX_NUMPY_CORE = 62
 """Highest core id the int64 mask kernel handles (1 << core must fit)."""
@@ -326,7 +220,8 @@ def core_masks_fit(stream: LlcStream) -> bool:
     return stream.num_cores <= _MAX_NUMPY_CORE + 1
 
 
-def _require_core_masks_fit(stream: LlcStream) -> None:
+def require_core_masks_fit(stream: LlcStream) -> None:
+    """Raise :class:`SimulationError` unless :func:`core_masks_fit`."""
     if not core_masks_fit(stream):
         raise SimulationError(
             f"stream {stream.name!r} has core ids up to "
@@ -335,124 +230,34 @@ def _require_core_masks_fit(stream: LlcStream) -> None:
         )
 
 
-def _reconstruct_metadata(walk: LruReplayReconstruction,
-                          stream: LlcStream) -> None:
-    """Rebuild per-residency hit counts and core/write masks.
-
-    Segmented reductions over the (stable) rid-sorted stream columns:
-    ``bincount`` for hit and other-hit counts, ``bitwise_or.reduceat`` for
-    the core and write masks. Callers have checked :func:`core_masks_fit`.
-    """
-    count = walk.residencies
-    if count == 0:
-        walk.res_hits = []
-        walk.res_other_hits = []
-        walk.res_core_mask = []
-        walk.res_write_mask = []
-        return
-    cores_np, __, ___, writes_np = stream.numpy_columns()
-    rids_np = np.frombuffer(walk.rids, dtype=np.int64)
-    dist_np = np.frombuffer(walk.distances, dtype=np.int32)
-    hit_mask = dist_np < walk.ways
-
-    res_fill_np = np.asarray(walk.res_fill, dtype=np.int64)
-    fill_core = cores_np[res_fill_np].astype(np.int64)
-    core_bits = np.left_shift(np.int64(1), cores_np.astype(np.int64))
-
-    res_hits = np.bincount(rids_np[hit_mask], minlength=count)
-    other = hit_mask & (cores_np.astype(np.int64) != fill_core[rids_np])
-    res_other = np.bincount(rids_np[other], minlength=count)
-
-    order = np.argsort(rids_np, kind="stable")
-    counts = np.bincount(rids_np, minlength=count)
-    starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    sorted_bits = core_bits[order]
-    res_cmask = np.bitwise_or.reduceat(sorted_bits, starts)
-    write_bits = np.where(writes_np[order] != 0, sorted_bits, np.int64(0))
-    res_wmask = np.bitwise_or.reduceat(write_bits, starts)
-
-    walk.res_hits = res_hits.tolist()
-    walk.res_other_hits = res_other.tolist()
-    walk.res_core_mask = res_cmask.tolist()
-    walk.res_write_mask = res_wmask.tolist()
-
-
 def reconstruct_lru_replay(
     stream: LlcStream,
     geometry: CacheGeometry,
     profile=None,
-) -> LruReplayReconstruction:
-    """Classify ``stream`` under exact LRU and rebuild residency metadata.
+) -> ResidencyTable:
+    """The residency table of an exact LRU replay of ``stream``.
 
     ``profile``, when a dict, receives per-phase wall times
-    (``stack_walk``, ``reconstruct``) for the replay profiler.
+    (``lru_walk``, ``table``) for the replay profiler.
 
     Raises:
         SimulationError: when the stream's core ids do not fit int64
             masks (:func:`core_masks_fit`).
     """
-    _require_core_masks_fit(stream)
+    require_core_masks_fit(stream)
     start = perf_counter()
-    walk = _stack_walk(stream.blocks.tolist(), geometry.num_sets,
-                       geometry.ways)
+    fills: List[int] = []
+    _lru_walk(stream.blocks, geometry.num_sets, geometry.ways, fills)
     if profile is not None:
-        profile["stack_walk"] = perf_counter() - start
+        profile["lru_walk"] = perf_counter() - start
         start = perf_counter()
-    _reconstruct_metadata(walk, stream)
+    table = ResidencyTable.from_fills(
+        stream, geometry.num_sets, geometry.ways,
+        *decode_fills(fills, geometry.ways),
+    )
     if profile is not None:
-        profile["reconstruct"] = perf_counter() - start
-    return walk
-
-
-# ----------------------------------------------------------------------
-# Phase 3: observer replay
-# ----------------------------------------------------------------------
-
-def _replay_observers(
-    walk: LruReplayReconstruction, stream: LlcStream, observers: Tuple
-) -> None:
-    """Emit the exact callback sequence the scalar replay would produce."""
-    cores, pcs, __, ___ = stream.columns()
-    res_block = walk.res_block
-    res_fill = walk.res_fill
-    res_way = walk.res_way
-    res_hits = walk.res_hits
-    res_other = walk.res_other_hits
-    res_cmask = walk.res_core_mask
-    res_wmask = walk.res_write_mask
-    set_mask = walk.set_mask
-
-    def emit_ended(rid: int, end_ordinal: int, forced: bool) -> None:
-        block = res_block[rid]
-        fill = res_fill[rid]
-        for observer in observers:
-            observer.residency_ended(
-                block,
-                block & set_mask,
-                fill + 1,
-                end_ordinal,
-                pcs[fill],
-                cores[fill],
-                res_cmask[rid],
-                res_wmask[rid],
-                res_hits[rid],
-                res_other[rid],
-                forced,
-            )
-
-    for rid, (fill, victim_rid) in enumerate(zip(res_fill, walk.evicted_rid)):
-        if victim_rid >= 0:
-            # The scalar model ends the victim's residency before the fill
-            # callbacks of the access that evicted it.
-            emit_ended(victim_rid, fill + 1, False)
-        block = res_block[rid]
-        for observer in observers:
-            observer.residency_started(
-                block, block & set_mask, fill + 1, pcs[fill], cores[fill]
-            )
-    for rid in walk.live_rids:
-        emit_ended(rid, walk.n, True)
+        profile["table"] = perf_counter() - start
+    return table
 
 
 def replay_lru_fastpath(
@@ -465,36 +270,34 @@ def replay_lru_fastpath(
 
     Drop-in replacement for an object-model LRU replay
     (:class:`repro.sim.engine.LlcOnlySimulator`): same hit/miss/eviction
-    counts, same observer callbacks in the same order. Observer work
-    happens after classification (phase 3), so when no observers are
-    attached the replay is pure classification.
+    counts, and observers consume the same residency table. When no
+    observers are attached the replay is pure classification.
     ``profile``, when a dict, receives per-phase wall times (see
-    :func:`reconstruct_lru_replay`, plus ``observer_replay``). Observer
-    replays raise :class:`SimulationError` on streams that fail
+    :func:`reconstruct_lru_replay`, plus ``consume``). Observer replays
+    raise :class:`SimulationError` on streams that fail
     :func:`core_masks_fit`.
     """
     start = perf_counter()
+    n = len(stream.blocks)
     if observers:
-        walk = reconstruct_lru_replay(stream, geometry, profile=profile)
+        table = reconstruct_lru_replay(stream, geometry, profile=profile)
         phase_start = perf_counter()
-        _replay_observers(walk, stream, tuple(observers))
+        for observer in observers:
+            observer.consume(table)
         if profile is not None:
-            profile["observer_replay"] = perf_counter() - phase_start
-        n, hits, misses = walk.n, walk.hits, walk.misses
+            profile["consume"] = perf_counter() - phase_start
+        hits = n - len(table)
     else:
-        n, hits, misses, __ = _count_walk(
-            stream.blocks.tolist(), geometry.num_sets, geometry.ways
-        )
+        hits = _lru_walk(stream.blocks, geometry.num_sets, geometry.ways)
         if profile is not None:
-            profile["count_walk"] = perf_counter() - start
-    elapsed = perf_counter() - start
+            profile["lru_walk"] = perf_counter() - start
     return LlcSimResult(
         policy="lru",
         stream_name=stream.name,
         accesses=n,
         hits=hits,
-        misses=misses,
-        elapsed_sec=elapsed,
+        misses=n - hits,
+        elapsed_sec=perf_counter() - start,
         tier=REPLAY_STACK,
         backend="python",
     )

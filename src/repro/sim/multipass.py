@@ -13,6 +13,7 @@ library: fast tier, then native backend, then the object model. Every
 library caller that replays a stream goes through it.
 """
 
+from dataclasses import replace
 from typing import Optional, Tuple, Union
 from weakref import WeakKeyDictionary
 
@@ -36,7 +37,7 @@ from repro.sim.fastpath import (
     fastpath_enabled,
     replay_lru_fastpath,
 )
-from repro.sim.nativepath import try_native_replay
+from repro.sim.nativepath import native_decline_reason, try_native_replay
 from repro.sim.results import LlcSimResult
 from repro.sim.setpath import replay_setpath, setpath_tier_of
 from repro.trace.trace import Trace
@@ -75,64 +76,64 @@ def run_policy_on_stream(
        takes the stack-distance path, the per-set policy matrix
        (LIP/BIP/NRU/SRRIP/BRRIP/random/OPT) the set-partitioned kernels,
        and DIP/DRRIP the two-phase dueling reconstruction;
-    2. for scalar-tier policies, the native backend (exact unbound SHiP
-       and annotation-backed oracle wrappers, no observers), unless
-       ``native`` is False or ``REPRO_SIM_NO_NATIVE`` is set;
+    2. for scalar-tier policies, the native backend (exact unbound SHiP,
+       observers included, and annotation-backed oracle wrappers without
+       observers), unless ``native`` is False or ``REPRO_SIM_NO_NATIVE``
+       is set;
     3. the scalar object model (:class:`LlcOnlySimulator`) for everything
        else, and for every replay when ``fastpath`` is False or
        ``REPRO_SIM_NO_FASTPATH`` is set.
 
-    All three are bit-identical, observer callbacks included; only
-    ``result.tier``/``result.backend`` record which one ran. ``seed``
+    All three are bit-identical, observers' residency tables included;
+    ``result.tier``/``result.backend`` record which one ran, and a model
+    replay's ``result.fallback`` says why no faster one did. Every replay
+    emits one ``replay`` telemetry span carrying all three. ``seed``
     feeds the standard ``derive_seed(seed, "replay", name)`` stream only
     when ``policy`` is a name; an instance carries its own seed, so
     callers with bespoke seed derivations pass instances.
     """
     if isinstance(policy, str):
         policy = make_policy(policy, seed=derive_seed(seed, "replay", policy))
-    result = _try_fast_replay(
+    result, reason = _try_fast_replay(
         stream, geometry, policy, observers, fastpath, native
     )
-    if result is not None:
-        return result
-    simulator = LlcOnlySimulator(geometry, policy, observers=observers)
-    return simulator.run(stream)
-
-
-def _try_fast_replay(stream, geometry, policy, observers, fastpath,
-                     native) -> Optional[LlcSimResult]:
-    """Replay on a fast tier or the native backend, or ``None``.
-
-    ``None`` is only ever returned before ``policy`` is touched — no
-    binding, no ``set_rng`` draws, no counters written — so the caller's
-    model fallback can replay the very same instance. Observer-carrying
-    replays of streams whose core ids overflow the fast tiers' int64
-    residency masks decline here too.
-    """
-    if not fastpath_enabled(fastpath):
-        return None
-    if observers and not core_masks_fit(stream):
-        return None
-    tier = setpath_tier_of(policy)
-    if tier == REPLAY_STACK:
-        result = replay_lru_fastpath(stream, geometry, observers=observers)
-    elif tier in (REPLAY_SET, REPLAY_DUELING):
-        if not isinstance(policy, ReplacementPolicy):
-            return None
-        result = replay_setpath(stream, geometry, policy, observers=observers)
-    else:
-        result = try_native_replay(
-            stream, geometry, policy, observers=observers, native=native
-        )
-        if result is None:
-            return None
+    if result is None:
+        simulator = LlcOnlySimulator(geometry, policy, observers=observers)
+        result = replace(simulator.run(stream), fallback=reason)
     telemetry.emit(
         "span", stage="replay", policy=result.policy,
         stream=result.stream_name, wall_sec=round(result.elapsed_sec, 6),
         accesses=result.accesses, hits=result.hits, misses=result.misses,
-        fastpath=True, tier=result.tier, backend=result.backend,
+        fastpath=result.fallback is None, tier=result.tier,
+        backend=result.backend, fallback=result.fallback,
     )
     return result
+
+
+def _try_fast_replay(stream, geometry, policy, observers, fastpath, native):
+    """``(result, None)`` from a fast tier or the native backend, or
+    ``(None, reason)`` naming the fallback (:data:`FALLBACK_REASONS
+    <repro.sim.results.FALLBACK_REASONS>`).
+
+    A reason is only ever returned before ``policy`` is touched — no
+    binding, no ``set_rng`` draws, no counters written — so the caller's
+    model fallback can replay the very same instance.
+    """
+    if not fastpath_enabled(fastpath):
+        return None, "gate-off"
+    if observers and not core_masks_fit(stream):
+        return None, "wide-cores"
+    tier = setpath_tier_of(policy)
+    if tier == REPLAY_STACK:
+        return replay_lru_fastpath(stream, geometry, observers=observers), None
+    if tier in (REPLAY_SET, REPLAY_DUELING):
+        return replay_setpath(stream, geometry, policy, observers=observers), None
+    reason = native_decline_reason(stream, policy, observers, native)
+    if reason is not None:
+        return None, reason
+    return try_native_replay(
+        stream, geometry, policy, observers=observers, native=native
+    ), None
 
 
 _NEXT_USE_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()

@@ -32,13 +32,13 @@ recorded as ``backend == "compact"``:
   instance.
 * **Dispatch** (:func:`try_native_replay`) — called by the replay entry
   point (:func:`repro.sim.multipass.run_policy_on_stream`) when a replay
-  resolves to the scalar tier: exact-type unbound :class:`ShipPolicy` replays with no
-  observers route here, as do native-eligible oracle wrappers
-  (:func:`oracle_native_spec`); everything else (undeclared subclasses,
-  bound instances, live predictor hint sources, observer-carrying
-  replays, ``REPRO_SIM_NO_NATIVE``) falls back to the scalar model with
-  the chosen backend recorded in the result's ``backend`` provenance
-  field.
+  resolves to the scalar tier: exact-type unbound :class:`ShipPolicy`
+  replays route here (with observers, the kernel also records every
+  fill, and the residency table is rebuilt from that record), as do
+  native-eligible oracle wrappers without observers
+  (:func:`oracle_native_spec`); everything else falls back to the scalar
+  model, and :func:`native_decline_reason` names why (the result's
+  ``fallback`` field).
 """
 
 from time import perf_counter
@@ -46,6 +46,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.cache.residency import ResidencyTable
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.envflag import env_flag
@@ -53,6 +54,7 @@ from repro.policies.base import REPLAY_SCALAR
 from repro.policies.lru import LruPolicy
 from repro.policies.rrip import SrripPolicy
 from repro.policies.ship import ShipPolicy
+from repro.sim.fastpath import decode_fills
 from repro.sim.results import LlcSimResult
 
 NO_NATIVE_ENV = "REPRO_SIM_NO_NATIVE"
@@ -96,8 +98,13 @@ def _hash_pcs(pcs, mask: int):
 # ----------------------------------------------------------------------
 
 def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
-                        cmax: int, shct) -> int:
-    """Count-mode SHiP replay over flat per-set lists; returns hits.
+                        cmax: int, shct, fills=None) -> int:
+    """SHiP replay over flat per-set lists; returns hits.
+
+    ``fills``, when a list, records every miss as ``hits * ways + way``
+    (the record :func:`repro.sim.fastpath.decode_fills` reads), so an
+    observer-carrying replay gets its residency table from this same
+    kernel; count-only replays pay one ``None`` check per miss.
 
     Bit-exact transcription of the scalar path: free fills take the
     lowest free way (fill order — no back-invalidation exists in LLC-only
@@ -154,6 +161,8 @@ def _ship_count_compact(blocks, sigs, num_sets: int, ways: int, rmax: int,
         rrow[way] = rmax if shct[g] == 0 else rmax - 1
         brow[way] = block
         where[block] = (rrow, srow, orow, way)
+        if fills is not None:
+            fills.append(hits * ways + way)
     return hits
 
 
@@ -339,6 +348,25 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
     return hits, protected_fills, exemptions, released
 
 
+def _oracle_decline(policy) -> Optional[str]:
+    """Why the native oracle kernel cannot run ``policy`` (a fallback
+    reason of :data:`repro.sim.results.FALLBACK_REASONS`), or ``None``."""
+    # Imported lazily: repro.oracle pulls in the replay dispatch at module
+    # import, so a top-level import here would be circular.
+    from repro.oracle.annotate import AnnotationHintSource
+    from repro.oracle.wrapper import SharingAwareWrapper
+
+    if type(policy) is not SharingAwareWrapper:
+        return "subclass"
+    if policy.geometry is not None or policy.base.geometry is not None:
+        return "bound-instance"
+    if type(policy.base) not in _ORACLE_BASE_FAMILIES:
+        return "subclass"
+    if type(policy.hint_source) is not AnnotationHintSource:
+        return "hint-source"
+    return None
+
+
 def oracle_native_spec(policy):
     """``(family, base, hint_source)`` when the native oracle path covers
     ``policy``, else ``None``.
@@ -351,21 +379,10 @@ def oracle_native_spec(policy):
     undeclared subclasses, bound instances, live predictor hint sources —
     takes the object model.
     """
-    # Imported lazily: repro.oracle pulls in the replay dispatch at module
-    # import, so a top-level import here would be circular.
-    from repro.oracle.annotate import AnnotationHintSource
-    from repro.oracle.wrapper import SharingAwareWrapper
-
-    if type(policy) is not SharingAwareWrapper or policy.geometry is not None:
+    if _oracle_decline(policy) is not None:
         return None
     base = policy.base
-    family = _ORACLE_BASE_FAMILIES.get(type(base))
-    if family is None or base.geometry is not None:
-        return None
-    source = policy.hint_source
-    if type(source) is not AnnotationHintSource:
-        return None
-    return family, base, source
+    return _ORACLE_BASE_FAMILIES[type(base)], base, policy.hint_source
 
 
 def replay_oracle_nativepath(
@@ -449,6 +466,7 @@ def replay_ship_nativepath(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy: ShipPolicy,
+    observers: Tuple = (),
     profile=None,
 ) -> LlcSimResult:
     """Replay ``stream`` under an unbound SHiP instance, natively.
@@ -459,7 +477,9 @@ def replay_ship_nativepath(
     a new tier — and the kernel that produced the counters in
     ``result.backend``. The policy instance is left unbound (the kernel
     reads only its configuration: ``rrpv_max``, SHCT geometry, and the
-    initial counter value).
+    initial counter value). Observers consume the residency table the
+    kernel's fill record rebuilds (callers check
+    :func:`repro.sim.fastpath.core_masks_fit` first).
 
     ``profile``, when a dict, receives ``native_prepare`` /
     ``native_kernel`` wall times and the chosen ``native_backend``.
@@ -475,13 +495,21 @@ def replay_ship_nativepath(
     if profile is not None:
         profile["native_prepare"] = perf_counter() - prep_start
     kernel_start = perf_counter()
+    fills = [] if observers else None
     hits = _ship_count_compact(
         stream.blocks, sigs, geometry.num_sets, geometry.ways, rmax,
-        cmax, shct,
+        cmax, shct, fills,
     )
     if profile is not None:
         profile["native_kernel"] = perf_counter() - kernel_start
         profile["native_backend"] = BACKEND_COMPACT
+    if observers:
+        table = ResidencyTable.from_fills(
+            stream, geometry.num_sets, geometry.ways,
+            *decode_fills(fills, geometry.ways),
+        )
+        for observer in observers:
+            observer.consume(table)
     return LlcSimResult(
         policy=policy.name,
         stream_name=stream.name,
@@ -507,6 +535,35 @@ def native_eligible(policy) -> bool:
     return type(policy) is ShipPolicy and policy.geometry is None
 
 
+def native_decline_reason(stream: LlcStream, policy, observers: Tuple = (),
+                          native: Optional[bool] = None) -> Optional[str]:
+    """Why the native backend declines a scalar-tier replay, or ``None``.
+
+    The reason is one of :data:`repro.sim.results.FALLBACK_REASONS`:
+    ``gate-off`` (``native=False`` or ``REPRO_SIM_NO_NATIVE``),
+    ``bound-instance``, ``subclass`` (no kernel for the exact type),
+    ``hint-source`` (a wrapper whose hints are not an annotation aligned
+    with ``stream``) or ``observers`` (an oracle wrapper with observers;
+    its kernel records no residencies).
+    """
+    if not native_enabled(native):
+        return "gate-off"
+    if isinstance(policy, str):
+        return None if policy == "ship" else "subclass"
+    if policy.geometry is not None:
+        return "bound-instance"
+    if type(policy) is ShipPolicy:
+        return None
+    reason = _oracle_decline(policy)
+    if reason is None and len(policy.hint_source.budgets) != len(stream) + 1:
+        # The annotation was built for a different stream; hints cannot be
+        # exported by ordinal.
+        reason = "hint-source"
+    if reason is None and observers:
+        reason = "observers"
+    return reason
+
+
 def try_native_replay(
     stream: LlcStream,
     geometry: CacheGeometry,
@@ -517,23 +574,21 @@ def try_native_replay(
 ) -> Optional[LlcSimResult]:
     """Native replay of a scalar-tier policy, or ``None`` to fall back.
 
-    Returns ``None`` — caller proceeds to the scalar model — whenever the
-    backend is gated off (``native=False`` or ``REPRO_SIM_NO_NATIVE``),
-    observers need the full residency callback stream, or the policy is
-    neither an exact-type unbound SHiP (name or instance) nor an
-    exact-type unbound :class:`SharingAwareWrapper` over {LRU, SRRIP,
-    SHiP} with an annotation-backed hint source (see
+    Returns ``None`` — caller proceeds to the scalar model — whenever
+    :func:`native_decline_reason` names a reason: the backend is gated
+    off, or the policy is neither an exact-type unbound SHiP (name or
+    instance, observers welcome) nor an exact-type unbound
+    :class:`SharingAwareWrapper` over {LRU, SRRIP, SHiP} with an
+    annotation-backed hint source and no observers (see
     :func:`oracle_native_spec`). ``policy`` given as the name ``"ship"``
     constructs the registry default, matching what the scalar fallback
     would build.
     """
-    if observers or not native_enabled(native):
+    if native_decline_reason(stream, policy, observers, native) is not None:
         return None
-    if native_eligible(policy):
+    if isinstance(policy, str) or type(policy) is ShipPolicy:
         instance = policy if isinstance(policy, ShipPolicy) else ShipPolicy()
         return replay_ship_nativepath(
-            stream, geometry, instance, profile=profile
+            stream, geometry, instance, observers=observers, profile=profile
         )
-    if isinstance(policy, str):
-        return None
     return replay_oracle_nativepath(stream, geometry, policy, profile=profile)

@@ -15,11 +15,10 @@ is built around three cost rules:
    whether the replay ran through the scalar :class:`SharedLlc` model or
    one of the exact fast tiers — the stack-distance LRU fast path
    (``"stack"``) or the set-partitioned kernels (``"set"``/``"dueling"``)
-   — either because they consume only :class:`ResidencyObserver`
-   callbacks, which every fast tier replays exactly, or because they
-   reconstruct their state from a canonical-LRU
-   :class:`LruReplayReconstruction` walk of the stream (a
-   policy-independent model, so it serves every tier). Unsafe probes
+   — either because they consume only the residency table, which every
+   fast tier rebuilds exactly, or because they model a policy-independent
+   property of the stream (the reuse probe's canonical LRU stacks), so
+   they can be fed the stream itself on any tier. Unsafe probes
    (policy-internal ones like PSEL/SHCT/RRPV samplers) force the scalar
    tier for the whole replay. ``tests/sim/test_probes.py`` holds the
    differential proof.
@@ -55,7 +54,10 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.cache.hierarchy import CmpHierarchy
-from repro.cache.llc import NO_BLOCK, ResidencyObserver
+import numpy as np
+
+from repro.cache.llc import NO_BLOCK
+from repro.cache.residency import ResidencyObserver
 from repro.cache.stream import LlcStream
 from repro.characterization.hits import SharingClassifier, popcount
 from repro.common.config import CacheGeometry
@@ -67,8 +69,6 @@ from repro.sim import telemetry
 from repro.sim.engine import LlcOnlySimulator
 from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK
 from repro.sim.fastpath import (
-    LruReplayReconstruction,
-    _replay_observers,
     core_masks_fit,
     fastpath_enabled,
     reconstruct_lru_replay,
@@ -91,8 +91,10 @@ class Probe:
       scalar tier (:func:`run_probed_replay` never silently degrades a
       probe).
     * ``wants_access_events`` — receives :meth:`on_access` per LLC access
-      via the :class:`ProbeBus`; a *safe* access probe must also implement
-      :meth:`consume_fastpath`.
+      via the :class:`ProbeBus`; a *safe* access probe must read nothing
+      but its arguments' stream fields (core, pc, block, is_write), since
+      on the fast tiers it is fed the stream itself with ``llc``, ``hit``
+      and ``evicted`` set to ``None``.
     * ``wants_policy`` — :meth:`bind` requires a bound policy instance and
       may reject incompatible ones with :class:`ConfigError`.
     * ``needs_hierarchy`` — cannot run on a replay at all; it attaches to a
@@ -110,18 +112,6 @@ class Probe:
 
     def on_access(self, llc, core, pc, block, is_write, hit, evicted) -> None:
         """Per-access callback (after the cache fully processed it)."""
-
-    def consume_fastpath(
-        self, walk: LruReplayReconstruction, stream: LlcStream,
-        geometry: CacheGeometry,
-    ) -> None:
-        """Rebuild this probe's state from a fast-path walk.
-
-        Only called for ``fastpath_safe`` access probes; must leave the
-        probe in exactly the state the scalar :meth:`on_access` sequence
-        would have.
-        """
-        raise NotImplementedError
 
     def finalize(self) -> None:
         """Post-replay pass (histogram folding etc.); default no-op."""
@@ -160,13 +150,13 @@ class ProbeBus:
 
 
 # ----------------------------------------------------------------------
-# Residency-observer probes (fastpath-safe via exact observer replay)
+# Residency-table probes (fastpath-safe: every tier builds the same table)
 # ----------------------------------------------------------------------
 
 class SetStatsProbe(Probe, ResidencyObserver):
     """Per-set miss/hit/eviction/live-occupancy accounting.
 
-    Consumes only residency callbacks, which the fast path replays
+    Reduces over the residency table only, which every tier builds
     bit-identically — safe by construction.
     """
 
@@ -187,18 +177,20 @@ class SetStatsProbe(Probe, ResidencyObserver):
         self._evictions = [0] * num_sets
         self._live = [0] * num_sets
 
-    def residency_started(self, block, set_index, fill_ordinal, pc, core):
-        self._misses[set_index] += 1
-
-    def residency_ended(
-        self, block, set_index, fill_ordinal, end_ordinal, fill_pc, fill_core,
-        core_mask, write_mask, hits, other_hits, forced,
-    ) -> None:
-        self._hits[set_index] += hits
-        if forced:
-            self._live[set_index] += 1
-        else:
-            self._evictions[set_index] += 1
+    def consume(self, table) -> None:
+        # Every residency is one fill, i.e. one miss of its set.
+        num_sets = len(self._misses)
+        sets = table.set_index
+        forced = table.forced == 1
+        for column, counts in (
+            (self._misses, np.bincount(sets, minlength=num_sets)),
+            (self._hits, np.bincount(sets, weights=table.hits,
+                                     minlength=num_sets).astype(np.int64)),
+            (self._evictions, np.bincount(sets[~forced], minlength=num_sets)),
+            (self._live, np.bincount(sets[forced], minlength=num_sets)),
+        ):
+            for s, count in enumerate(counts.tolist()):
+                column[s] += count
 
     @staticmethod
     def _spread(values: List[int]) -> Dict:
@@ -257,17 +249,18 @@ class EvictionReasonProbe(Probe, ResidencyObserver):
         self._shared = {reason: 0 for reason in self._REASONS}
         self._lifetime = {reason: RunningStats() for reason in self._REASONS}
 
-    def residency_ended(
-        self, block, set_index, fill_ordinal, end_ordinal, fill_pc, fill_core,
-        core_mask, write_mask, hits, other_hits, forced,
-    ) -> None:
-        reason = "flush" if forced else "capacity"
-        self._count[reason] += 1
-        if hits == 0:
-            self._dead[reason] += 1
-        if popcount(core_mask) >= 2:
-            self._shared[reason] += 1
-        self._lifetime[reason].add(end_ordinal - fill_ordinal)
+    def consume(self, table) -> None:
+        forced = table.forced == 1
+        dead = table.hits == 0
+        shared = table.shared()
+        lifetime = table.end - table.fill
+        for reason, rows in (("capacity", ~forced), ("flush", forced)):
+            self._count[reason] += int(rows.sum())
+            self._dead[reason] += int((dead & rows).sum())
+            self._shared[reason] += int((shared & rows).sum())
+            stats = self._lifetime[reason]
+            for value in lifetime[rows].tolist():
+                stats.add(value)
 
     def summary(self) -> Dict:
         total = sum(self._count.values())
@@ -332,11 +325,10 @@ class ReuseDistanceProbe(Probe):
     Distances are computed under the canonical per-set LRU stack model of
     the *stream* — a policy-independent property (the probe maintains its
     own stack, never reading cache or policy state), which is what makes it
-    ``fastpath_safe``: on the fast path the identical quantities already
-    exist in the walk (``distances``/``rids``/``res_core_mask``) and
-    :meth:`consume_fastpath` just adopts them. Distance ``ways`` is the
-    capped miss bucket (true distance >= ways, cold misses included); each
-    access is attributed to the sharing class its residency *ends up* with.
+    ``fastpath_safe``: on the fast tiers it is simply fed the stream.
+    Distance ``ways`` is the capped miss bucket (true distance >= ways,
+    cold misses included); each access is attributed to the sharing class
+    its residency *ends up* with under that canonical LRU model.
     """
 
     name = "reuse"
@@ -362,8 +354,6 @@ class ReuseDistanceProbe(Probe):
         self._core_mask = []
 
     def on_access(self, llc, core, pc, block, is_write, hit, evicted) -> None:
-        # Mirrors fastpath._stack_walk exactly (the equivalence the
-        # differential test pins down).
         st = self._stacks[block & self._set_mask]
         rid = self._rid_of.get(block)
         if rid is not None:
@@ -382,11 +372,6 @@ class ReuseDistanceProbe(Probe):
             self._core_mask.append(1 << core)
         self._acc_rids.append(rid)
         self._acc_dists.append(distance)
-
-    def consume_fastpath(self, walk, stream, geometry) -> None:
-        self._acc_rids = walk.rids
-        self._acc_dists = walk.distances
-        self._core_mask = walk.res_core_mask
 
     def finalize(self) -> None:
         buckets = self._ways + 1
@@ -721,16 +706,13 @@ def run_probed_replay(
     the same ``(policy_name, seed)`` (identical seed derivation).
 
     Access probes stay policy-independent on the fast tiers: the reuse
-    probe models canonical per-set LRU stacks of the *stream*, so on the
-    set/dueling tiers it consumes a separate
-    :func:`reconstruct_lru_replay` walk (the policy walk's distances are
-    degenerate hit/miss markers), timed under ``profile["reuse_model"]``.
+    probe models canonical per-set LRU stacks of the *stream*, so it is
+    fed the stream itself there (timed under ``profile["probe_reuse"]``).
 
     ``profile`` in the returned report carries per-stage wall times from
-    the replay profiler (stack walk or partition/set kernels /
-    reconstruction / observer replay on the fast tiers; replay loop /
-    flush on the scalar path), plus per-probe fast-path consumption times
-    and ``total``.
+    the replay profiler (LRU walk or partition/set kernels / residency
+    table / consumption on the fast tiers; replay loop / flush on the
+    scalar path), plus per-probe stream-feeding times and ``total``.
     """
     probes = resolve_probes(probes)
     for probe in probes:
@@ -754,35 +736,32 @@ def run_probed_replay(
         for probe in probes:
             probe.bind(geometry, None)
         if tier == REPLAY_STACK:
-            walk = reconstruct_lru_replay(stream, geometry, profile=profile)
-            lru_walk = walk
+            table = reconstruct_lru_replay(stream, geometry, profile=profile)
         else:
             policy = make_policy(
                 policy_name, seed=derive_seed(seed, "replay", policy_name)
             )
-            walk = reconstruct_setpath_replay(
+            table = reconstruct_setpath_replay(
                 stream, geometry, policy, profile=profile
             )
-            lru_walk = None
-        if observers:
-            phase_start = perf_counter()
-            _replay_observers(walk, stream, observers)
-            profile["observer_replay"] = perf_counter() - phase_start
+        phase_start = perf_counter()
+        for observer in observers:
+            observer.consume(table)
+        profile["consume"] = perf_counter() - phase_start
         for probe in probes:
             if probe.wants_access_events:
-                if lru_walk is None:
-                    phase_start = perf_counter()
-                    lru_walk = reconstruct_lru_replay(stream, geometry)
-                    profile["reuse_model"] = perf_counter() - phase_start
                 phase_start = perf_counter()
-                probe.consume_fastpath(lru_walk, stream, geometry)
+                on_access = probe.on_access
+                for core, pc, block, write in zip(*stream.columns()):
+                    on_access(None, core, pc, block, write != 0, None, None)
                 profile[f"probe_{probe.name}"] = perf_counter() - phase_start
+        n = len(stream)
         result = LlcSimResult(
             policy=policy_name,
             stream_name=stream.name,
-            accesses=walk.n,
-            hits=walk.hits,
-            misses=walk.misses,
+            accesses=n,
+            hits=n - len(table),
+            misses=len(table),
             elapsed_sec=perf_counter() - start,
             tier=tier,
         )

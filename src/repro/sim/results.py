@@ -1,9 +1,27 @@
 """Result records for simulation runs."""
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.stats import ratio
+
+FALLBACK_REASONS = (
+    "observers", "bound-instance", "subclass", "hint-source", "wide-cores",
+    "gate-off",
+)
+"""Why a replay ran on the object model (``LlcSimResult.fallback``).
+
+* ``observers`` — the policy's fast kernel records no residencies (the
+  native oracle kernel);
+* ``bound-instance`` — the policy instance was already bound and may carry
+  state no offline kernel reconstructs;
+* ``subclass`` — no kernel exists for the policy's exact type;
+* ``hint-source`` — a wrapper whose hints are not an annotation aligned
+  with the stream (a live predictor, say);
+* ``wide-cores`` — observers need core masks, and the stream has core ids
+  above 62;
+* ``gate-off`` — the fast tiers or the native backend were switched off.
+"""
 
 
 @dataclass(frozen=True)
@@ -23,7 +41,9 @@ class LlcSimResult:
     dueling and grid kernels, ``compact`` for the native scalar backend).
     Results come from the one replay entry point,
     :func:`repro.sim.multipass.run_policy_on_stream`, whichever tier ran.
-    Like ``tier`` it is excluded from equality.
+    Like ``tier`` it is excluded from equality, as is ``fallback``: the
+    :data:`FALLBACK_REASONS` entry saying why a model replay did not take
+    a faster path (``None`` when one ran).
     """
 
     policy: str
@@ -34,6 +54,7 @@ class LlcSimResult:
     elapsed_sec: float = field(default=0.0, compare=False, repr=False)
     tier: str = field(default="scalar", compare=False)
     backend: str = field(default="model", compare=False)
+    fallback: Optional[str] = field(default=None, compare=False)
 
     @property
     def accesses_per_sec(self) -> float:
@@ -71,6 +92,7 @@ class LlcSimResult:
             "miss_ratio": self.miss_ratio,
             "tier": self.tier,
             "backend": self.backend,
+            "fallback": self.fallback,
         }
 
 

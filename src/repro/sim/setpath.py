@@ -34,15 +34,15 @@ replay therefore decomposes exactly:
 
 Policies with genuinely global state — SHiP's SHCT is trained by every
 set's fills, hits, and evictions — have no exact decomposition and stay on
-the scalar model (tier ``scalar``); DESIGN.md decision 9 has the argument.
+the scalar model (tier ``scalar``) — unless the compact backend
+(:mod:`repro.sim.nativepath`) covers them; DESIGN.md decision 9 has the
+argument.
 
-Observer-carrying replays additionally record the residency skeleton
-(fills, evictions, way assignments) per set and stitch it back into global
-fill order, reusing the fast path's metadata reconstruction and observer
-replay verbatim — observers see exactly the callback sequence the scalar
-model would have produced. Like the stack tier, that reconstruction needs
-core ids that fit int64 masks
-(:func:`repro.sim.fastpath.core_masks_fit`).
+Observer-carrying replays run the same kernels with a fill record (each
+miss's global position and the way it filled); the residency table is
+rebuilt from it (:meth:`repro.cache.residency.ResidencyTable.from_fills`),
+row for row what the scalar model logs. Like the stack tier, that needs
+core ids that fit int64 masks (:func:`repro.sim.fastpath.core_masks_fit`).
 
 :func:`setpath_tier_of` resolves the effective tier (declared tier ∧
 kernel availability); the replay entry point
@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cache.residency import ResidencyTable
 from repro.cache.stream import LlcStream
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
@@ -72,13 +73,7 @@ from repro.policies.opt import NO_NEXT_USE, BeladyOptPolicy
 from repro.policies.random_policy import RandomPolicy
 from repro.policies.registry import POLICY_NAMES, policy_class
 from repro.policies.rrip import BrripPolicy, DrripPolicy, SrripPolicy
-from repro.sim.fastpath import (
-    LruReplayReconstruction,
-    _reconstruct_metadata,
-    _replay_observers,
-    _require_core_masks_fit,
-    replay_tier_of,
-)
+from repro.sim.fastpath import replay_tier_of, require_core_masks_fit
 from repro.sim.results import LlcSimResult
 
 _FAMILY_RECENCY = "recency"
@@ -191,20 +186,25 @@ def partition_stream(blocks, num_sets: int, profile=None) -> StreamPartition:
 
 
 # ----------------------------------------------------------------------
-# Phase 2a: count kernels (classification only, no residency skeleton)
+# Phase 2: per-set kernels (count, optionally record every fill)
 # ----------------------------------------------------------------------
+#
+# One kernel per family. Every kernel returns the set's hits; passing a
+# ``rec`` list (with the set's global positions in ``pos``) also records
+# each miss as ``position * ways + way``, the fill record
+# ResidencyTable.from_fills rebuilds the residency table from. Count-only
+# replays pay one ``None`` check per miss for it.
 
-def _count_rrip(seg, pos, ways, rmax, bimodal, rng, throttle, use_b,
-                fills) -> int:
-    """RRIP count kernel for one set: plain, leader, or follower.
+def _rrip_set(seg, pos, ways, rmax, bimodal, rng, throttle, use_b, fills,
+              rec=None) -> int:
+    """RRIP kernel for one set: plain, leader, or follower.
 
     Plain BRRIP and DRRIP leaders pass ``use_b=None``: ``bimodal`` fixes
     the insertion (False = SRRIP, True = BRRIP drawing from ``rng``);
-    plain SRRIP counts on :func:`_count_rrip_sync_stacked` instead.
-    Leaders also pass a ``fills`` list that receives every
-    miss's global position from ``pos``; plain replays pass ``pos`` and
-    ``fills`` as None. Followers pass the per-access ``use_b`` flags
-    reconstructed from the PSEL series.
+    count-only plain SRRIP runs on :func:`_count_rrip_sync_stacked`
+    instead. Leaders also pass a ``fills`` list that receives every
+    miss's global position from ``pos``; followers pass the per-access
+    ``use_b`` flags reconstructed from the PSEL series.
     """
     way_of = {}
     blk = [0] * ways
@@ -212,7 +212,7 @@ def _count_rrip(seg, pos, ways, rmax, bimodal, rng, throttle, use_b,
     filled = 0
     hits = 0
     misses = 0
-    roles = use_b is not None or fills is not None
+    roles = use_b is not None or fills is not None or rec is not None
     get = way_of.get
     for block in seg:
         way = get(block)
@@ -248,6 +248,8 @@ def _count_rrip(seg, pos, ways, rmax, bimodal, rng, throttle, use_b,
             rrpv[way] = rmax
         blk[way] = block
         way_of[block] = way
+        if rec is not None:
+            rec.append(pos[idx] * ways + way)
     return hits
 
 
@@ -261,7 +263,7 @@ def _count_rrip_sync_stacked(
     block matrix: step ``i`` processes every set's ``i``-th access at
     once. Hit detection is an equality broadcast, the +1-until-saturated
     aging rounds collapse to one per-row delta (same algebra as
-    :func:`_count_rrip`), and the victim is each row's first RRPV-max way.
+    :func:`_rrip_set`), and the victim is each row's first RRPV-max way.
     Padding and the cold resident matrix both use ``-1``; padded lanes are
     masked out of hit detection and fills, so a padded ``-1`` never "hits"
     a still-cold way. Per-access Python overhead amortizes across all
@@ -352,19 +354,21 @@ def _count_rrip_sync_stacked(
     return [int(h) for h in hits]
 
 
-def _count_recency(seg, pos, ways, mode, rng, throttle, use_b,
-                   fills) -> int:
-    """Recency-family count kernel: plain LRU/LIP/BIP, DIP leader, follower.
+def _recency_set(seg, pos, ways, mode, rng, throttle, use_b, fills,
+                 rec=None) -> int:
+    """Recency-family kernel: plain LRU/LIP/BIP, DIP leader, follower.
 
     Residents are kept in LRU→MRU stamp order. The role arguments follow
-    :func:`_count_rrip`: ``mode`` fixes the insertion when ``use_b`` is
+    :func:`_rrip_set`: ``mode`` fixes the insertion when ``use_b`` is
     None, followers pass per-access ``use_b`` flags (BIP when set, else
     MRU), and leaders pass a ``fills`` list for their miss positions.
+    Ways are tracked only when recording.
     """
     st: List[int] = []
+    way_of = {}
     hits = 0
     misses = 0
-    roles = use_b is not None or fills is not None
+    roles = use_b is not None or fills is not None or rec is not None
     for block in seg:
         if block in st:
             st.remove(block)
@@ -372,14 +376,18 @@ def _count_recency(seg, pos, ways, mode, rng, throttle, use_b,
             hits += 1
             continue
         if roles:
-            idx = hits + misses  # see _count_rrip
+            idx = hits + misses  # see _rrip_set
             misses += 1
             if fills is not None:
                 fills.append(pos[idx])
             if use_b is not None:
                 mode = _MODE_BIP if use_b[idx] else _MODE_MRU
         if len(st) == ways:
-            del st[0]
+            victim = st.pop(0)
+            if rec is not None:
+                way = way_of.pop(victim)
+        else:
+            way = len(st)
         if mode == _MODE_MRU:
             st.append(block)
         elif mode == _MODE_LIP:
@@ -388,16 +396,20 @@ def _count_recency(seg, pos, ways, mode, rng, throttle, use_b,
             st.append(block)
         else:
             st.insert(0, block)
+        if rec is not None:
+            way_of[block] = way
+            rec.append(pos[idx] * ways + way)
     return hits
 
 
-def _count_nru(seg, ways) -> int:
-    """NRU count kernel: one reference bit per way."""
+def _nru_set(seg, pos, ways, rec=None) -> int:
+    """NRU kernel: one reference bit per way."""
     way_of = {}
     blk = [0] * ways
     bits = [0] * ways
     filled = 0
     hits = 0
+    misses = 0
     get = way_of.get
     for block in seg:
         way = get(block)
@@ -415,6 +427,9 @@ def _count_nru(seg, ways) -> int:
                 del way_of[blk[way]]
             blk[way] = block
             way_of[block] = way
+            if rec is not None:
+                rec.append(pos[hits + misses] * ways + way)
+                misses += 1
         bits[way] = 1
         if 0 not in bits:
             for i in range(ways):
@@ -423,12 +438,13 @@ def _count_nru(seg, ways) -> int:
     return hits
 
 
-def _count_random(seg, ways, rng) -> int:
-    """Random count kernel: the per-set stream draws once per eviction."""
+def _random_set(seg, pos, ways, rng, rec=None) -> int:
+    """Random kernel: the per-set stream draws once per eviction."""
     way_of = {}
     blk = [0] * ways
     filled = 0
     hits = 0
+    misses = 0
     get = way_of.get
     for block in seg:
         way = get(block)
@@ -443,16 +459,20 @@ def _count_random(seg, ways, rng) -> int:
             del way_of[blk[way]]
         blk[way] = block
         way_of[block] = way
+        if rec is not None:
+            rec.append(pos[hits + misses] * ways + way)
+            misses += 1
     return hits
 
 
-def _count_opt(seg, seg_next, ways) -> int:
-    """Belady OPT count kernel over the set's gathered next-use values."""
+def _opt_set(seg, seg_next, pos, ways, rec=None) -> int:
+    """Belady OPT kernel over the set's gathered next-use values."""
     way_of = {}
     blk = [0] * ways
     nxt = [NO_NEXT_USE] * ways
     filled = 0
     hits = 0
+    misses = 0
     get = way_of.get
     for block, next_pos in zip(seg, seg_next):
         way = get(block)
@@ -469,329 +489,9 @@ def _count_opt(seg, seg_next, ways) -> int:
         nxt[way] = next_pos
         blk[way] = block
         way_of[block] = way
-    return hits
-
-
-# ----------------------------------------------------------------------
-# Phase 2b: walk kernels (classification + residency skeleton recording)
-# ----------------------------------------------------------------------
-
-class _WalkBuf:
-    """Skeleton accumulator shared by every set's walk kernel.
-
-    Residency ids here are *concat ids*: assigned in set-processing order,
-    remapped to global fill order by :func:`_assemble_walk`. The per-access
-    ``distances``/``rids`` columns are indexed by global position directly
-    (each set writes only its own positions); distances use the degenerate
-    hit/miss encoding (0 for hits, ``ways`` for misses) — non-LRU policies
-    have no stack distance, and nothing downstream of the walk reads more
-    than the hit/miss classification.
-    """
-
-    __slots__ = ("n", "distances", "rids", "res_block", "res_fill",
-                 "res_end", "res_way", "evicted", "live", "counter")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.distances = array("i", bytes(4 * n))
-        self.rids = array("q", bytes(8 * n))
-        self.res_block: List[int] = []
-        self.res_fill: List[int] = []
-        self.res_end: List[int] = []
-        self.res_way: List[int] = []
-        self.evicted: List[int] = []
-        self.live: List[Tuple[int, int, int]] = []
-        self.counter = 0
-
-
-def _walk_rrip(seg, pos, ways, rmax, bimodal, rng, throttle, use_b, fills,
-               buf, set_index) -> int:
-    """RRIP walk kernel: plain (``use_b``/``fills`` None), leader, follower."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    rrpv = [rmax] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            rrpv[way] = 0
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-            continue
-        distances[p] = ways
-        if fills is not None:
-            fills.append(p)
-        new_id = counter
-        counter += 1
-        if filled < ways:
-            way = filled
-            filled += 1
-            evicted.append(-1)
-        else:
-            top = max(rrpv)
-            if top != rmax:
-                delta = rmax - top
-                for w in range(ways):
-                    rrpv[w] += delta
-            way = rrpv.index(rmax)
-            victim = blk[way]
-            vid = id_of.pop(victim)
-            del way_of[victim]
-            res_end[vid] = p
-            evicted.append(vid)
-        b = bimodal if use_b is None else use_b[idx]
-        if not b or (rng is not None and rng.randrange(throttle) == 0):
-            rrpv[way] = rmax - 1
-        else:
-            rrpv[way] = rmax
-        blk[way] = block
-        way_of[block] = way
-        id_of[block] = new_id
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_recency(seg, pos, ways, mode, rng, throttle, use_b, fills,
-                  buf, set_index) -> int:
-    """Recency-family walk kernel: plain LRU/LIP/BIP, DIP leader, follower."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    st: List[int] = []
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    hits = 0
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        rid = id_of.get(block)
-        if rid is not None:
-            st.remove(block)
-            st.append(block)
-            distances[p] = 0
-            rids[p] = rid
-            hits += 1
-            continue
-        distances[p] = ways
-        if fills is not None:
-            fills.append(p)
-        new_id = counter
-        counter += 1
-        if len(st) == ways:
-            victim = st.pop(0)
-            vid = id_of.pop(victim)
-            way = way_of.pop(victim)
-            res_end[vid] = p
-            evicted.append(vid)
-        else:
-            way = len(st)
-            evicted.append(-1)
-        m = mode if use_b is None else (_MODE_BIP if use_b[idx] else _MODE_MRU)
-        if m == _MODE_MRU:
-            st.append(block)
-        elif m == _MODE_LIP:
-            st.insert(0, block)
-        elif rng.randrange(throttle) == 0:
-            st.append(block)
-        else:
-            st.insert(0, block)
-        way_of[block] = way
-        id_of[block] = new_id
-        blk[way] = block
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(len(st)):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_nru(seg, pos, ways, buf, set_index) -> int:
-    """NRU walk kernel."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    bits = [0] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-        else:
-            distances[p] = ways
-            new_id = counter
-            counter += 1
-            if filled < ways:
-                way = filled
-                filled += 1
-                evicted.append(-1)
-            else:
-                # ways == 1: no clear bit exists; scalar falls back to 0.
-                way = bits.index(0) if 0 in bits else 0
-                victim = blk[way]
-                vid = id_of.pop(victim)
-                del way_of[victim]
-                res_end[vid] = p
-                evicted.append(vid)
-            blk[way] = block
-            way_of[block] = way
-            id_of[block] = new_id
-            buf.res_block.append(block)
-            buf.res_fill.append(p)
-            res_end.append(-1)
-            buf.res_way.append(way)
-            rids[p] = new_id
-        bits[way] = 1
-        if 0 not in bits:
-            for i in range(ways):
-                bits[i] = 0
-            bits[way] = 1
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_random(seg, pos, ways, rng, buf, set_index) -> int:
-    """Random walk kernel."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-            continue
-        distances[p] = ways
-        new_id = counter
-        counter += 1
-        if filled < ways:
-            way = filled
-            filled += 1
-            evicted.append(-1)
-        else:
-            way = rng.randrange(ways)
-            victim = blk[way]
-            vid = id_of.pop(victim)
-            del way_of[victim]
-            res_end[vid] = p
-            evicted.append(vid)
-        blk[way] = block
-        way_of[block] = way
-        id_of[block] = new_id
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
-    return hits
-
-
-def _walk_opt(seg, seg_next, pos, ways, buf, set_index) -> int:
-    """Belady OPT walk kernel."""
-    distances = buf.distances
-    rids = buf.rids
-    res_end = buf.res_end
-    evicted = buf.evicted
-    counter = buf.counter
-    way_of = {}
-    id_of = {}
-    blk = [0] * ways
-    nxt = [NO_NEXT_USE] * ways
-    filled = 0
-    hits = 0
-    get = way_of.get
-    for idx in range(len(seg)):
-        block = seg[idx]
-        p = pos[idx]
-        way = get(block)
-        if way is not None:
-            nxt[way] = seg_next[idx]
-            distances[p] = 0
-            rids[p] = id_of[block]
-            hits += 1
-            continue
-        distances[p] = ways
-        new_id = counter
-        counter += 1
-        if filled < ways:
-            way = filled
-            filled += 1
-            evicted.append(-1)
-        else:
-            way = nxt.index(max(nxt))
-            victim = blk[way]
-            vid = id_of.pop(victim)
-            del way_of[victim]
-            res_end[vid] = p
-            evicted.append(vid)
-        nxt[way] = seg_next[idx]
-        blk[way] = block
-        way_of[block] = way
-        id_of[block] = new_id
-        buf.res_block.append(block)
-        buf.res_fill.append(p)
-        res_end.append(-1)
-        buf.res_way.append(way)
-        rids[p] = new_id
-    buf.counter = counter
-    live = buf.live
-    for w in range(filled):
-        live.append((set_index, w, id_of[blk[w]]))
+        if rec is not None:
+            rec.append(pos[hits + misses] * ways + way)
+            misses += 1
     return hits
 
 
@@ -853,7 +553,7 @@ def _make_flag_lookup(positions, flags, part: StreamPartition):
 
 
 def _leader_pass(part: StreamPartition, geometry: CacheGeometry,
-                 policy, buf: Optional[_WalkBuf]):
+                 policy, rec: Optional[List[int]]):
     """Replay every leader set; classify followers for the second phase.
 
     Returns ``(hits, a_fills, b_fills, followers)`` where the fill lists
@@ -884,31 +584,17 @@ def _leader_pass(part: StreamPartition, geometry: CacheGeometry,
         rng = policy.set_rng(s) if is_b else None
         fills = b_fills if is_b else a_fills
         if family == _FAMILY_RRIP:
-            rmax = policy.rrpv_max
-            if buf is None:
-                hits += _count_rrip(
-                    seg, pos, ways, rmax, is_b, rng, throttle, None, fills
-                )
-            else:
-                hits += _walk_rrip(
-                    seg, pos, ways, rmax, is_b, rng, throttle, None, fills,
-                    buf, s,
-                )
+            hits += _rrip_set(seg, pos, ways, policy.rrpv_max, is_b, rng,
+                              throttle, None, fills, rec)
         else:
             mode = _MODE_BIP if is_b else _MODE_MRU
-            if buf is None:
-                hits += _count_recency(
-                    seg, pos, ways, mode, rng, throttle, None, fills
-                )
-            else:
-                hits += _walk_recency(
-                    seg, pos, ways, mode, rng, throttle, None, fills, buf, s
-                )
+            hits += _recency_set(seg, pos, ways, mode, rng, throttle, None,
+                                 fills, rec)
     return hits, a_fills, b_fills, followers
 
 
 def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
-                   policy, buf: Optional[_WalkBuf], lookup,
+                   policy, rec: Optional[List[int]], lookup,
                    followers: List[int]) -> int:
     """Replay every follower set against the reconstructed PSEL flags."""
     ways = geometry.ways
@@ -927,26 +613,11 @@ def _follower_pass(part: StreamPartition, geometry: CacheGeometry,
         use_b = lookup(lo, hi)
         rng = policy.set_rng(s)
         if family == _FAMILY_RRIP:
-            rmax = policy.rrpv_max
-            if buf is None:
-                hits += _count_rrip(
-                    seg, pos, ways, rmax, False, rng, throttle, use_b, None
-                )
-            else:
-                hits += _walk_rrip(
-                    seg, pos, ways, rmax, False, rng, throttle, use_b, None,
-                    buf, s,
-                )
+            hits += _rrip_set(seg, pos, ways, policy.rrpv_max, False, rng,
+                              throttle, use_b, None, rec)
         else:
-            if buf is None:
-                hits += _count_recency(
-                    seg, pos, ways, _MODE_MRU, rng, throttle, use_b, None
-                )
-            else:
-                hits += _walk_recency(
-                    seg, pos, ways, _MODE_MRU, rng, throttle, use_b, None,
-                    buf, s,
-                )
+            hits += _recency_set(seg, pos, ways, _MODE_MRU, rng, throttle,
+                                 use_b, None, rec)
     return hits
 
 
@@ -960,14 +631,14 @@ def _gather_next_use(next_use, part: StreamPartition):
 
 
 def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
-                policy, buf: Optional[_WalkBuf]) -> int:
+                policy, rec: Optional[List[int]]) -> int:
     """Replay every set of a non-dueling per-set policy."""
     cls = type(policy)
     family = _KERNEL_FAMILIES[cls]
-    if buf is None and cls is SrripPolicy:
+    if rec is None and cls is SrripPolicy:
         # Count-mode SRRIP has a fully synchronous vectorized kernel (no
-        # RNG, no residency skeleton to record): the stacked grid kernel
-        # with one variant. BRRIP's per-set draws and walk mode stay on
+        # RNG, no fills to record): the stacked grid kernel with one
+        # variant. BRRIP's per-set draws and recording replays stay on
         # the per-set kernels.
         rmax = policy.rrpv_max
         return _count_rrip_sync_stacked(
@@ -992,56 +663,31 @@ def _plain_pass(part: StreamPartition, geometry: CacheGeometry,
         if lo == hi:
             continue
         seg = blocks[lo:hi]
+        pos = order[lo:hi] if rec is not None else None
         if family == _FAMILY_RRIP:
-            rmax = policy.rrpv_max
             bimodal = cls is BrripPolicy
             rng = policy.set_rng(s) if bimodal else None
             throttle = policy.throttle if bimodal else 0
-            if buf is None:
-                hits += _count_rrip(
-                    seg, None, ways, rmax, bimodal, rng, throttle, None, None
-                )
-            else:
-                hits += _walk_rrip(
-                    seg, order[lo:hi], ways, rmax, bimodal, rng, throttle,
-                    None, None, buf, s,
-                )
+            hits += _rrip_set(seg, pos, ways, policy.rrpv_max, bimodal, rng,
+                              throttle, None, None, rec)
         elif family == _FAMILY_RECENCY:
             mode = _RECENCY_MODES[cls]
             rng = policy.set_rng(s) if mode == _MODE_BIP else None
             throttle = policy.throttle if mode == _MODE_BIP else 0
-            if buf is None:
-                hits += _count_recency(
-                    seg, None, ways, mode, rng, throttle, None, None
-                )
-            else:
-                hits += _walk_recency(
-                    seg, order[lo:hi], ways, mode, rng, throttle, None, None,
-                    buf, s,
-                )
+            hits += _recency_set(seg, pos, ways, mode, rng, throttle, None,
+                                 None, rec)
         elif family == _FAMILY_NRU:
-            if buf is None:
-                hits += _count_nru(seg, ways)
-            else:
-                hits += _walk_nru(seg, order[lo:hi], ways, buf, s)
+            hits += _nru_set(seg, pos, ways, rec)
         elif family == _FAMILY_RANDOM:
-            rng = policy.set_rng(s)
-            if buf is None:
-                hits += _count_random(seg, ways, rng)
-            else:
-                hits += _walk_random(seg, order[lo:hi], ways, rng, buf, s)
+            hits += _random_set(seg, pos, ways, policy.set_rng(s), rec)
         else:  # _FAMILY_OPT
-            seg_next = grouped_next[lo:hi]
-            if buf is None:
-                hits += _count_opt(seg, seg_next, ways)
-            else:
-                hits += _walk_opt(seg, seg_next, order[lo:hi], ways, buf, s)
+            hits += _opt_set(seg, grouped_next[lo:hi], pos, ways, rec)
     return hits
 
 
 def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
-                     policy, buf: Optional[_WalkBuf], profile=None) -> int:
-    """Replay every set (count mode when ``buf`` is None); return hits.
+                     policy, rec: Optional[List[int]], profile=None) -> int:
+    """Replay every set (count-only when ``rec`` is None); return hits.
 
     Dueling policies run in two phases: the leader pass produces the PSEL
     event series, then every follower set reads the reconstructed winner
@@ -1050,16 +696,16 @@ def _run_partitioned(part: StreamPartition, geometry: CacheGeometry,
     start = perf_counter()
     if type(policy) in (DipPolicy, DrripPolicy):
         hits, a_fills, b_fills, followers = _leader_pass(
-            part, geometry, policy, buf
+            part, geometry, policy, rec
         )
         psel_start = perf_counter()
         positions, __, flags = _psel_steps(a_fills, b_fills, policy.duel)
         lookup = _make_flag_lookup(positions, flags, part)
         if profile is not None:
             profile["psel_series"] = perf_counter() - psel_start
-        hits += _follower_pass(part, geometry, policy, buf, lookup, followers)
+        hits += _follower_pass(part, geometry, policy, rec, lookup, followers)
     else:
-        hits = _plain_pass(part, geometry, policy, buf)
+        hits = _plain_pass(part, geometry, policy, rec)
     if profile is not None:
         profile["set_kernels"] = perf_counter() - start
     return hits
@@ -1093,79 +739,21 @@ def reconstruct_psel_series(
 
 
 # ----------------------------------------------------------------------
-# Phase 3: walk assembly (concat ids → global fill order) + replay
+# Phase 3: residency table + replay
 # ----------------------------------------------------------------------
-
-class SetReplayReconstruction(LruReplayReconstruction):
-    """A set-partitioned replay's walk, in the fast path's layout.
-
-    Identical field contract to :class:`LruReplayReconstruction` — so the
-    metadata reconstruction and observer replay are reused verbatim — with
-    one deliberate difference: ``distances`` carry only the degenerate
-    hit/miss encoding (0 for hits, ``ways`` for misses). Non-LRU policies
-    have no stack distance; consumers that need true reuse distances (the
-    reuse probe) must build a canonical LRU walk separately.
-    """
-
-    __slots__ = ()
-
-
-def _assemble_walk(buf: _WalkBuf, stream: LlcStream,
-                   geometry: CacheGeometry,
-                   profile=None) -> SetReplayReconstruction:
-    """Stitch per-set skeletons into a global fill-ordered walk."""
-    start = perf_counter()
-    walk = SetReplayReconstruction()
-    n = buf.n
-    count = buf.counter
-    buf.live.sort()
-    fill_np = np.asarray(buf.res_fill, dtype=np.int64)
-    perm = np.argsort(fill_np)  # fill positions are unique
-    inv = np.empty(count, dtype=np.int64)
-    inv[perm] = np.arange(count, dtype=np.int64)
-    walk.res_block = np.asarray(buf.res_block, dtype=np.int64)[perm].tolist()
-    walk.res_fill = fill_np[perm].tolist()
-    walk.res_end = np.asarray(buf.res_end, dtype=np.int64)[perm].tolist()
-    walk.res_way = np.asarray(buf.res_way, dtype=np.int64)[perm].tolist()
-    evicted_np = np.asarray(buf.evicted, dtype=np.int64)
-    mapped = np.where(
-        evicted_np >= 0, inv[np.maximum(evicted_np, 0)], np.int64(-1)
-    )
-    walk.evicted_rid = mapped[perm].tolist()
-    rids_np = np.frombuffer(buf.rids, dtype=np.int64)
-    remapped = array("q", bytes(8 * n))
-    np.frombuffer(remapped, dtype=np.int64)[...] = inv[rids_np]
-    walk.rids = remapped
-    walk.live_rids = [int(inv[cid]) for __, ___, cid in buf.live]
-    walk.n = n
-    walk.ways = geometry.ways
-    walk.set_mask = geometry.num_sets - 1
-    walk.distances = buf.distances
-    walk.hits = n - count
-    walk.misses = count
-    walk.evictions = count - len(buf.live)
-    if profile is not None:
-        profile["assemble"] = perf_counter() - start
-        start = perf_counter()
-    _reconstruct_metadata(walk, stream)
-    if profile is not None:
-        profile["reconstruct"] = perf_counter() - start
-    return walk
-
 
 def reconstruct_setpath_replay(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
     profile=None,
-) -> SetReplayReconstruction:
-    """Replay ``stream`` under ``policy`` rebuilding the full walk.
+) -> ResidencyTable:
+    """The residency table of an exact replay of ``stream`` under ``policy``.
 
     ``policy`` must be an unbound setpath-eligible instance; it is bound
-    here. The returned walk carries the same residency metadata contract
-    as :func:`repro.sim.fastpath.reconstruct_lru_replay` (the probe layer
-    consumes it), with degenerate distances (see
-    :class:`SetReplayReconstruction`).
+    here. The kernels record every fill; the table is rebuilt from those
+    (:meth:`ResidencyTable.from_fills`), row for row what the object model
+    logs.
 
     Raises:
         SimulationError: for a policy without a set kernel, or a stream
@@ -1179,12 +767,20 @@ def reconstruct_setpath_replay(
             f"policy {getattr(policy, 'name', policy)!r} is not "
             f"setpath-eligible (tier {tier!r})"
         )
-    _require_core_masks_fit(stream)
+    require_core_masks_fit(stream)
     part = partition_stream(stream.blocks, geometry.num_sets, profile=profile)
     policy.bind(geometry)
-    buf = _WalkBuf(len(stream.blocks))
-    _run_partitioned(part, geometry, policy, buf, profile=profile)
-    return _assemble_walk(buf, stream, geometry, profile=profile)
+    rec: List[int] = []
+    _run_partitioned(part, geometry, policy, rec, profile=profile)
+    start = perf_counter()
+    packed = np.sort(np.asarray(rec, dtype=np.int64))  # positions are unique
+    table = ResidencyTable.from_fills(
+        stream, geometry.num_sets, geometry.ways,
+        packed // geometry.ways, packed % geometry.ways,
+    )
+    if profile is not None:
+        profile["table"] = perf_counter() - start
+    return table
 
 
 def replay_setpath(
@@ -1214,27 +810,27 @@ def replay_setpath(
         )
     n = len(stream.blocks)
     if observers:
-        walk = reconstruct_setpath_replay(
+        table = reconstruct_setpath_replay(
             stream, geometry, policy, profile=profile
         )
         phase_start = perf_counter()
-        _replay_observers(walk, stream, tuple(observers))
+        for observer in observers:
+            observer.consume(table)
         if profile is not None:
-            profile["observer_replay"] = perf_counter() - phase_start
-        hits, misses = walk.hits, walk.misses
+            profile["consume"] = perf_counter() - phase_start
+        hits = n - len(table)
     else:
         part = partition_stream(
             stream.blocks, geometry.num_sets, profile=profile
         )
         policy.bind(geometry)
         hits = _run_partitioned(part, geometry, policy, None, profile=profile)
-        misses = n - hits
     return LlcSimResult(
         policy=policy.name,
         stream_name=stream.name,
         accesses=n,
         hits=hits,
-        misses=misses,
+        misses=n - hits,
         elapsed_sec=perf_counter() - start,
         tier=tier,
         backend="numpy",

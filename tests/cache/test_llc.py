@@ -10,24 +10,26 @@ from repro.policies.lru import LruPolicy
 
 
 class RecordingObserver(ResidencyObserver):
-    """Collects every residency callback for assertions."""
+    """Keeps the residency table's rows as dicts, plus its fills."""
 
     def __init__(self):
         self.started = []
         self.ended = []
 
-    def residency_started(self, block, set_index, fill_ordinal, pc, core):
-        self.started.append((block, set_index, fill_ordinal, pc, core))
-
-    def residency_ended(self, block, set_index, fill_ordinal, end_ordinal,
-                        fill_pc, fill_core, core_mask, write_mask, hits,
-                        other_hits, forced):
-        self.ended.append({
-            "block": block, "set": set_index, "fill": fill_ordinal,
-            "end": end_ordinal, "pc": fill_pc, "core": fill_core,
-            "core_mask": core_mask, "write_mask": write_mask,
-            "hits": hits, "other_hits": other_hits, "forced": forced,
-        })
+    def consume(self, table):
+        for (block, set_index, fill, end, pc, core, core_mask, write_mask,
+             hits, other_hits, forced) in table.rows():
+            self.ended.append({
+                "block": block, "set": set_index, "fill": fill, "end": end,
+                "pc": pc, "core": core, "core_mask": core_mask,
+                "write_mask": write_mask, "hits": hits,
+                "other_hits": other_hits, "forced": bool(forced),
+            })
+        self.started = sorted(
+            ((r["block"], r["set"], r["fill"], r["pc"], r["core"])
+             for r in self.ended),
+            key=lambda fill: fill[2],
+        )
 
 
 def make_llc(sets=2, ways=2, observers=()):
@@ -91,6 +93,7 @@ class TestResidencyMetadata:
         llc.access(0, 0x10, 0, False)   # fill block 0
         llc.access(0, 0x11, 0, False)   # hit
         llc.access(0, 0x12, 1, False)   # evicts block 0
+        llc.flush_residencies()
         record = observer.ended[0]
         assert record["block"] == 0
         assert record["fill"] == 1
@@ -108,6 +111,7 @@ class TestResidencyMetadata:
         llc.access(1, 0, 0, False)      # cross-core hit
         llc.access(2, 0, 0, True)       # cross-core write hit
         llc.access(0, 0, 1, False)      # evict
+        llc.flush_residencies()
         record = observer.ended[0]
         assert record["core_mask"] == 0b111
         assert record["write_mask"] == 0b100
@@ -168,6 +172,7 @@ class TestResidencyMetadata:
         llc.access(0, 0x7, 5, False)
         llc.access(0, 0x7, 5, False)    # hit, no started event
         llc.access(1, 0x8, 6, True)     # new fill
+        llc.flush_residencies()
         assert observer.started == [(5, 0, 1, 0x7, 0), (6, 0, 3, 0x8, 1)]
 
     def test_observer_count_matches_fills(self):
@@ -181,16 +186,34 @@ class TestResidencyMetadata:
 
 
 class TestObserverManagement:
-    def test_add_observer(self):
+    def test_rows_are_logged_only_with_observers(self):
         llc = make_llc()
-        observer = RecordingObserver()
-        llc.add_observer(observer)
         llc.access(0, 0, 0, False)
-        assert len(observer.started) == 1
+        llc.flush_residencies()  # nothing to hand over, nothing logged
+        assert llc._rows is None
 
     def test_base_observer_started_is_noop(self):
-        # The base class must tolerate being attached directly.
+        # The base class must tolerate being attached directly: nothing is
+        # called per access, and consume() is abstract.
         llc = make_llc(observers=(ResidencyObserver(),))
-        llc.access(0, 0, 0, False)  # no exception from residency_started
+        llc.access(0, 0, 0, False)
         with pytest.raises(NotImplementedError):
             llc.flush_residencies()
+
+    def test_live_hook_sees_each_end_before_the_next_fill(self):
+        ends = []
+
+        class Live(ResidencyObserver):
+            def live_hook(self, policy):
+                return lambda *row: ends.append((row, llc.access_count))
+
+            def consume(self, table):
+                pass
+
+        llc = make_llc(sets=1, ways=1, observers=(Live(),))
+        llc.access(0, 0x1, 0, False)
+        llc.access(1, 0x1, 0, False)
+        llc.access(0, 0x2, 1, False)   # ends block 0's residency
+        assert ends == [((0, 0x1, 0, 0b11), 3)]
+        llc.flush_residencies()
+        assert ends[-1] == ((1, 0x2, 0, 0b1), 3)

@@ -81,12 +81,10 @@ class Collector(ResidencyObserver):
     def __init__(self):
         self.ended = []
 
-    def residency_ended(self, block, set_index, fill_ordinal, end_ordinal,
-                        fill_pc, fill_core, core_mask, write_mask, hits,
-                        other_hits, forced):
-        self.ended.append((block, fill_ordinal, end_ordinal, fill_pc,
-                           fill_core, core_mask, write_mask, hits,
-                           other_hits, forced))
+    def consume(self, table):
+        for row in table.rows():
+            block, __, *rest, forced = row
+            self.ended.append((block, *rest, bool(forced)))
 
 
 accesses_strategy = st.lists(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.residency import ResidencyTable
 from repro.characterization.pc_profile import PcSharingProfiler
 from repro.common.config import CacheGeometry
 from repro.policies.lru import LruPolicy
@@ -10,9 +11,11 @@ from tests.conftest import make_stream
 
 
 def feed(profiler, pc, shared):
+    """Hand the profiler a one-residency table."""
     core_mask = 0b11 if shared else 0b1
-    profiler.residency_ended(0, 0, 0, 0, pc, 0, core_mask, 0, 1,
-                             1 if shared else 0, False)
+    profiler.consume(ResidencyTable.from_rows(
+        [(0, 0, 0, 0, pc, 0, core_mask, 0, 1, 1 if shared else 0, 0)]
+    ))
 
 
 class TestPcSharingProfiler:

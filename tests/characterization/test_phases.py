@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.cache.residency import ResidencyTable
 from repro.characterization.phases import SharingPhaseTracker
 
 
 def feed(tracker, block, shared):
-    """Emit one synthetic residency-end event."""
+    """Hand the tracker a one-residency table (state carries across)."""
     core_mask = 0b11 if shared else 0b1
-    tracker.residency_ended(
-        block, 0, 0, 0, 0, 0, core_mask, 0, 1, 1 if shared else 0, False
-    )
+    tracker.consume(ResidencyTable.from_rows(
+        [(block, 0, 0, 0, 0, 0, core_mask, 0, 1, 1 if shared else 0, 0)]
+    ))
 
 
 class TestSharingPhaseTracker:

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.cache.llc import ResidencyObserver
+from repro.cache.residency import ResidencyObserver
 from repro.cache.stream import LlcStream, LlcStreamBuilder
+from repro.characterization.hits import HitBreakdown
+from repro.characterization.phases import PhaseStats
+from repro.predictors.metrics import ConfusionMatrix
 from repro.common.config import CacheGeometry, MachineConfig
 from repro.sim.experiment import CACHE_DIR_ENV
 from repro.trace.trace import Trace, TraceBuilder
@@ -28,22 +31,132 @@ def _hermetic_cache_dir(tmp_path_factory):
         os.environ[CACHE_DIR_ENV] = previous
 
 
-class RecordingObserver(ResidencyObserver):
-    """Logs every callback verbatim for sequence comparison."""
+class TableRecorder(ResidencyObserver):
+    """Keeps every residency table it is handed, for row comparisons."""
 
     def __init__(self):
-        self.events = []
+        self.tables = []
 
-    def residency_started(self, block, set_index, fill_ordinal, pc, core):
-        self.events.append(("started", block, set_index, fill_ordinal, pc, core))
+    def consume(self, table):
+        self.tables.append(table)
 
-    def residency_ended(self, block, set_index, fill_ordinal, end_ordinal,
-                        fill_pc, fill_core, core_mask, write_mask, hits,
-                        other_hits, forced):
-        self.events.append((
-            "ended", block, set_index, fill_ordinal, end_ordinal, fill_pc,
-            fill_core, core_mask, write_mask, hits, other_hits, forced,
-        ))
+    @property
+    def rows(self):
+        """Every row of every table, as tuples of Python ints."""
+        return [row for table in self.tables for row in table.rows()]
+
+
+# ----------------------------------------------------------------------
+# Plain-Python per-row references for the table reductions. Rows are
+# ResidencyTable.rows() tuples: (block, set_index, fill, end, fill_pc,
+# fill_core, core_mask, write_mask, hits, other_hits, forced), end order.
+# ----------------------------------------------------------------------
+
+def _is_shared(core_mask):
+    return bin(core_mask).count("1") >= 2
+
+
+def reference_breakdown(rows) -> HitBreakdown:
+    """SharingClassifier, folded one row at a time."""
+    b = HitBreakdown()
+    for __, ___, ____, _____, ______, _______, core_mask, write_mask, hits, \
+            ________, _________ in rows:
+        b.residencies += 1
+        b.hits += hits
+        degree = bin(core_mask).count("1")
+        b.degree_residencies[degree] = b.degree_residencies.get(degree, 0) + 1
+        b.degree_hits[degree] = b.degree_hits.get(degree, 0) + hits
+        shared = degree >= 2
+        if shared:
+            b.shared_residencies += 1
+            b.shared_hits += hits
+            if write_mask:
+                b.rw_shared_residencies += 1
+                b.rw_shared_hits += hits
+            else:
+                b.ro_shared_residencies += 1
+                b.ro_shared_hits += hits
+        if hits == 0:
+            b.dead_residencies += 1
+            if not shared:
+                b.dead_private_residencies += 1
+    return b
+
+
+def reference_phases(rows) -> PhaseStats:
+    """SharingPhaseTracker (consume + finalize), one row at a time."""
+    stats = PhaseStats()
+    last, count, flipped = {}, {}, set()
+    for row in rows:
+        block, shared = row[0], _is_shared(row[6])
+        if block in last:
+            previous = last[block]
+            if previous and shared:
+                stats.shared_to_shared += 1
+            elif previous:
+                stats.shared_to_private += 1
+            elif shared:
+                stats.private_to_shared += 1
+            else:
+                stats.private_to_private += 1
+            if previous != shared:
+                flipped.add(block)
+        last[block] = shared
+        count[block] = count.get(block, 0) + 1
+    for block, n in count.items():
+        if n == 1:
+            stats.single_residency_blocks += 1
+        elif block in flipped:
+            stats.blocks_bimodal += 1
+        elif last[block]:
+            stats.blocks_always_shared += 1
+        else:
+            stats.blocks_always_private += 1
+    return stats
+
+
+def reference_pc_counts(rows):
+    """PcSharingProfiler.per_pc_counts, one row at a time."""
+    counts = {}
+    for row in rows:
+        pair = counts.setdefault(row[4], [0, 0])
+        pair[1 if _is_shared(row[6]) else 0] += 1
+    return [(pc, c[0], c[1]) for pc, c in sorted(counts.items())]
+
+
+def reference_fill_log(rows, stream_length):
+    """FillSharingLog: ``(budgets, shared_fills, total_fills)``."""
+    budgets = [0] * (stream_length + 1)
+    for row in rows:
+        budgets[row[2]] = row[9]
+    return budgets, sum(_is_shared(row[6]) for row in rows), len(rows)
+
+
+def reference_harness(rows, predictor, warmup_fills=0) -> ConfusionMatrix:
+    """PredictorHarness over one table: predict at each fill, train at
+    each end, in the order the object model runs them — an eviction at
+    ordinal e before the fill at e, flushed ends last in table order."""
+    events = []
+    for index, row in enumerate(rows):
+        events.append(((row[2], 1), "fill", row))
+        end_key = (float("inf"), index) if row[10] else (row[3], 0)
+        events.append((end_key, "end", row))
+    events.sort(key=lambda event: event[0])
+    matrix = ConfusionMatrix()
+    pending = {}
+    fills = 0
+    for __, kind, row in events:
+        block, pc, core = row[0], row[4], row[5]
+        if kind == "fill":
+            fills += 1
+            pending[row[2]] = (predictor.predict(block, pc, core), fills)
+        else:
+            prediction, number = pending.pop(row[2])
+            shared = _is_shared(row[6])
+            if number > warmup_fills:
+                matrix.update(prediction, shared)
+            predictor.train(block, pc, core, shared)
+    return matrix
 
 
 def make_stream(accesses, name="test-stream") -> LlcStream:

@@ -89,14 +89,6 @@ class TestPredictorHarness:
                                    warmup_fills=4)
         assert harness.matrix.total == 6
 
-    def test_pending_prediction_inspection(self):
-        harness = PredictorHarness(AlwaysSharedPredictor())
-        simulator = LlcOnlySimulator(GEOMETRY, LruPolicy(), observers=(harness,))
-        simulator.llc.access(0, 0, 0, False)
-        assert harness.last_prediction_for(1) is True
-        assert harness.last_prediction_for(99) is None
-
-
 class TestPredictorDrivenPolicy:
     def test_never_predictor_equals_base(self):
         accesses = [(i % 2, 0, i % 10, False) for i in range(400)]

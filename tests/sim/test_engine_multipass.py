@@ -28,13 +28,13 @@ class TestLlcOnlySimulator:
         flushed = []
 
         class Flush(ResidencyObserver):
-            def residency_ended(self, *args):
-                flushed.append(args[-1])  # forced flag
+            def consume(self, table):
+                flushed.extend(table.forced.tolist())
 
         LlcOnlySimulator(GEOMETRY, LruPolicy(), observers=(Flush(),)).run(
             read_stream([0, 1])
         )
-        assert flushed == [True, True]
+        assert flushed == [1, 1]
 
 
 class TestResults:

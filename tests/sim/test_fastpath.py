@@ -3,10 +3,10 @@
 The load-bearing property is *bit-identity*: for every stream and geometry,
 :func:`replay_lru_fastpath` must produce exactly what the scalar
 ``LlcOnlySimulator(geometry, LruPolicy(), observers)`` replay produces —
-same hit/miss counts, same observer callbacks with the same arguments in
-the same order (victim-ended before fill-started, forced flushes in
-(set, way) order). Hypothesis drives random streams of 0-300 accesses
-across geometries through the numpy metadata reconstruction.
+same hit/miss counts, and the same residency table row for row (evictions
+in stream order, forced flushes in (set, way) order). Hypothesis drives
+random streams of 0-300 accesses across geometries through the numpy
+table reconstruction.
 """
 
 import os
@@ -35,7 +35,7 @@ from repro.sim.fastpath import (
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.probes import run_probed_replay
 from repro.sim.setpath import reconstruct_setpath_replay
-from tests.conftest import RecordingObserver, make_stream
+from tests.conftest import TableRecorder, make_stream
 from tests.strategies import replay_stream_lists
 
 
@@ -61,36 +61,27 @@ class TestEquivalence:
         geometry = GEOMETRIES[geometry_index]
         stream = make_stream(accesses)
 
-        slow_obs, fast_obs = RecordingObserver(), RecordingObserver()
+        slow_obs, fast_obs = TableRecorder(), TableRecorder()
         slow = scalar_replay(stream, geometry, observers=(slow_obs,))
         fast = replay_lru_fastpath(stream, geometry, observers=(fast_obs,))
 
         assert (fast.accesses, fast.hits, fast.misses) \
             == (slow.accesses, slow.hits, slow.misses)
         assert fast.policy == slow.policy == "lru"
-        assert fast_obs.events == slow_obs.events
+        assert fast_obs.rows == slow_obs.rows
 
     @settings(max_examples=40, deadline=None)
     @given(accesses=accesses_strategy, geometry_index=st.integers(0, 3))
     def test_numpy_kernel_matches_python(self, accesses, geometry_index):
-        # The numpy metadata pass against the Python object model: every
+        # The numpy table rebuild against the Python object model: every
         # residency's masks and hit counts, keyed by its fill ordinal.
         geometry = GEOMETRIES[geometry_index]
         stream = make_stream(accesses)
-        walk = reconstruct_lru_replay(stream, geometry)
-        slow_obs = RecordingObserver()
+        table = reconstruct_lru_replay(stream, geometry)
+        slow_obs = TableRecorder()
         scalar_replay(stream, geometry, observers=(slow_obs,))
-        expected = {
-            event[3]: event[7:11]
-            for event in slow_obs.events if event[0] == "ended"
-        }
-        actual = {
-            walk.res_fill[rid] + 1: (
-                walk.res_core_mask[rid], walk.res_write_mask[rid],
-                walk.res_hits[rid], walk.res_other_hits[rid],
-            )
-            for rid in range(walk.residencies)
-        }
+        expected = {row[2]: row[6:10] for row in slow_obs.rows}
+        actual = {row[2]: row[6:10] for row in table.rows()}
         assert actual == expected
 
     @settings(max_examples=40, deadline=None)
@@ -111,8 +102,8 @@ class TestEquivalence:
             + [(c, 0x100, b, c == 2) for b in range(8) for c in (0, 2, 63)]
         )
         geometry = CacheGeometry(2 * 4 * 64, 4)
-        for policy in ("lru", "srrip"):
-            obs_entry, obs_model = RecordingObserver(), RecordingObserver()
+        for policy in ("lru", "srrip", "ship"):
+            obs_entry, obs_model = TableRecorder(), TableRecorder()
             result = run_policy_on_stream(
                 stream, geometry, policy, observers=(obs_entry,)
             )
@@ -121,13 +112,13 @@ class TestEquivalence:
                 fastpath=False,
             )
             assert result.tier == "scalar", policy
-            assert obs_entry.events == obs_model.events, policy
-            assert any(e[0] == "ended" and e[7] >> 63 for e in
-                       obs_entry.events), policy
-            # Without observers there are no masks: the fast tier stays.
+            assert result.fallback == "wide-cores", policy
+            assert obs_entry.rows == obs_model.rows, policy
+            assert any(row[6] >> 63 for row in obs_entry.rows), policy
+            # Without observers there are no masks: the fast path stays.
             assert run_policy_on_stream(
                 stream, geometry, policy
-            ).tier != "scalar"
+            ).fallback is None
 
     def test_wide_core_ids_rejected_by_reconstruction(self):
         stream = make_stream([(63, 0x100, b, False) for b in range(4)])
@@ -140,7 +131,7 @@ class TestEquivalence:
         assert policy.geometry is None  # rejected before binding
         with pytest.raises(SimulationError, match="core ids"):
             replay_lru_fastpath(stream, geometry,
-                                observers=(RecordingObserver(),))
+                                observers=(TableRecorder(),))
         report = run_probed_replay(stream, geometry, "lru",
                                    ["sharing", "reuse"])
         assert report.tier == "scalar"

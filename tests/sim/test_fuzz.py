@@ -261,19 +261,20 @@ class TestFullFidelityDifferential:
         assert full["fastpath_match"]
 
     def test_classification_divergence_is_caught(self, monkeypatch):
-        # A fast tier whose hit/miss counts are right but whose observer
-        # stream is not: one extra shared residency reaches the classifier.
+        # A fast tier whose hit/miss counts are right but whose residency
+        # table is not: one extra shared residency reaches the classifier.
+        from repro.cache.residency import ResidencyTable
         from repro.sim import multipass
 
         fast = multipass._try_fast_replay
+        extra = ResidencyTable.from_rows([(0, 0, 1, 2, 0, 0, 0b11, 0, 1, 1, 1)])
 
         def misclassifying(stream, geometry, policy, observers, *args):
-            result = fast(stream, geometry, policy, observers, *args)
+            result, reason = fast(stream, geometry, policy, observers, *args)
             if result is not None:
                 for observer in observers:
-                    observer.residency_ended(0, 0, 1, 2, 0, 0, 0b11, 0, 1, 1,
-                                             True)
-            return result
+                    observer.consume(extra)
+            return result, reason
 
         monkeypatch.setattr(multipass, "_try_fast_replay", misclassifying)
         full = replay_scenario_full(SMALL, sample_scenario(SMALL, 0),

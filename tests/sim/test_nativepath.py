@@ -31,7 +31,7 @@ from repro.sim.nativepath import (
     replay_ship_nativepath,
     try_native_replay,
 )
-from tests.conftest import make_stream
+from tests.conftest import TableRecorder, make_stream
 from tests.strategies import SIGNATURE_PCS, replay_stream_lists
 
 SEED = 11
@@ -207,16 +207,20 @@ class TestFallbackChain:
         assert not native_eligible(bound)
         assert try_native_replay(stream, geometry, bound) is None
 
-    def test_observers_decline(self):
-        class Observer:
-            def residency_started(self, *args): pass
-            def residency_ended(self, *args): pass
-
+    def test_observers_ride_the_kernel(self):
+        # The kernel records every fill, so an observed SHiP replay stays
+        # native and its residency table is the model's, row for row.
         stream = mixed_stream(400, 30)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert try_native_replay(
-            stream, geometry, "ship", observers=(Observer(),)
-        ) is None
+        native, model = TableRecorder(), TableRecorder()
+        result = try_native_replay(
+            stream, geometry, "ship", observers=(native,)
+        )
+        reference = run_policy_on_stream(
+            stream, geometry, "ship", observers=(model,), fastpath=False
+        )
+        assert result.backend == "compact" and result == reference
+        assert native.rows == model.rows and model.rows
 
     def test_no_fastpath_still_means_pure_model(self):
         # The native hook sits behind the fastpath gate, so the

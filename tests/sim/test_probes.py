@@ -182,7 +182,7 @@ class TestObservationOnly:
         fast = run_probed_replay(
             stream, small_geometry, "lru", ["reuse"], fastpath=True
         )
-        assert "stack_walk" in fast.profile
+        assert "lru_walk" in fast.profile
         assert "probe_reuse" in fast.profile
         assert fast.profile["total"] >= 0
         scalar = run_probed_replay(

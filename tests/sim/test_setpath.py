@@ -8,13 +8,13 @@ contracts:
 * tier resolution — double eligibility (declared tier *and* an
   exact-type kernel), bound-instance demotion, undeclared subclasses;
 * the stream partition — a stable per-set grouping of positions;
-* observer exactness — the assembled walk replays the scalar model's
-  callback sequence verbatim, argument for argument, for every kernel
+* observer exactness — the residency table rebuilt from the kernels'
+  fill record equals the scalar model's row for row, for every kernel
   family, under hypothesis-driven adversarial streams of 0-300 accesses
   and on the small-stream edge cases (empty, one access, no hits, one
   miss, dueling followers with no leader miss, fewer accesses than
   ways);
-* the walk's degenerate-distance contract;
+* the table's accounting: one row per miss, every other access a hit;
 * dispatch — :func:`run_policy_on_stream` takes eligible tiers, declines
   scalar-tier policies, and honours the gate.
 """
@@ -24,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import SimulationError
+from repro.oracle.annotate import build_stream_annotation, oracle_hint_source
+from repro.oracle.wrapper import SharingAwareWrapper
 from repro.policies.base import ReplacementPolicy
 from repro.policies.lru import LruPolicy
 from repro.policies.opt import BeladyOptPolicy, compute_next_use
@@ -40,7 +42,7 @@ from repro.sim.setpath import (
     replay_tier_table,
     setpath_tier_of,
 )
-from tests.conftest import RecordingObserver, make_stream
+from tests.conftest import TableRecorder, make_stream
 from tests.strategies import replay_stream_lists
 
 SETPATH_POLICIES = (
@@ -147,15 +149,15 @@ class TestObserverExactness:
     def test_callback_sequence_identical_to_scalar(self, policy):
         stream = mixed_stream()
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        slow = RecordingObserver()
+        slow = TableRecorder()
         LlcOnlySimulator(
             geometry, make_policy(policy, seed=11), observers=(slow,)
         ).run(stream)
-        fast = RecordingObserver()
+        fast = TableRecorder()
         result = replay_setpath(
             stream, geometry, make_policy(policy, seed=11), observers=(fast,)
         )
-        assert fast.events == slow.events
+        assert fast.rows == slow.rows
         assert result.tier in ("set", "dueling")
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -187,16 +189,16 @@ class TestObserverExactness:
     def test_random_streams_bit_identical(self, policy, seed, accesses):
         stream = make_stream(accesses)
         geometry = CacheGeometry(4 * 2 * 64, 2)
-        slow = RecordingObserver()
+        slow = TableRecorder()
         ref = LlcOnlySimulator(
             geometry, make_policy(policy, seed=seed), observers=(slow,)
         ).run(stream)
-        fast = RecordingObserver()
+        fast = TableRecorder()
         result = replay_setpath(
             stream, geometry, make_policy(policy, seed=seed), observers=(fast,)
         )
         assert (result.hits, result.misses) == (ref.hits, ref.misses)
-        assert fast.events == slow.events
+        assert fast.rows == slow.rows
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -217,7 +219,7 @@ class TestObserverExactness:
             for core, pc, block, write in accesses
         ])
         geometry = GEOMETRIES[-1]
-        slow, fast = RecordingObserver(), RecordingObserver()
+        slow, fast = TableRecorder(), TableRecorder()
         ref = LlcOnlySimulator(
             geometry, make_policy(policy, seed=seed),
             observers=(slow,) if observed else (),
@@ -227,7 +229,7 @@ class TestObserverExactness:
             observers=(fast,) if observed else (),
         )
         assert (result.hits, result.misses) == (ref.hits, ref.misses)
-        assert fast.events == slow.events
+        assert fast.rows == slow.rows
 
     @pytest.mark.parametrize("case", sorted(EDGE_STREAMS))
     @pytest.mark.parametrize(
@@ -238,7 +240,7 @@ class TestObserverExactness:
         geometry = GEOMETRIES[-1]
 
         def run(fastpath):
-            observer = RecordingObserver()
+            observer = TableRecorder()
             instance = (
                 BeladyOptPolicy(compute_next_use(stream.blocks))
                 if policy == "opt" else make_policy(policy, seed=3)
@@ -247,7 +249,7 @@ class TestObserverExactness:
                 stream, geometry, instance, observers=(observer,),
                 fastpath=fastpath,
             )
-            return result, observer.events
+            return result, observer.rows
 
         fast, fast_events = run(True)
         slow, slow_events = run(False)
@@ -266,29 +268,29 @@ class TestObserverExactness:
         stream = mixed_stream()
         geometry = CacheGeometry(8 * 4 * 64, 4)
         next_use = compute_next_use(stream.blocks)
-        slow = RecordingObserver()
+        slow = TableRecorder()
         LlcOnlySimulator(
             geometry, BeladyOptPolicy(next_use), observers=(slow,)
         ).run(stream)
-        fast = RecordingObserver()
+        fast = TableRecorder()
         replay_setpath(
             stream, geometry, BeladyOptPolicy(next_use), observers=(fast,)
         )
-        assert fast.events == slow.events
+        assert fast.rows == slow.rows
 
 
 class TestWalkContract:
-    def test_distances_are_degenerate_hit_miss_markers(self):
+    def test_table_accounts_for_every_access(self):
+        # One row per fill (= miss); every other access is one row's hit.
         stream = mixed_stream()
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        walk = reconstruct_setpath_replay(
+        table = reconstruct_setpath_replay(
             stream, geometry, make_policy("srrip", seed=1)
         )
-        assert set(walk.distances) <= {0, geometry.ways}
-        assert walk.misses == sum(
-            1 for d in walk.distances if d == geometry.ways
-        )
-        assert walk.hits + walk.misses == walk.n == len(stream)
+        result = replay_setpath(stream, geometry, make_policy("srrip", seed=1))
+        assert len(table) == result.misses
+        assert int(table.hits.sum()) == result.hits
+        assert sorted(table.fill.tolist()) == sorted(set(table.fill.tolist()))
 
     def test_ineligible_policy_is_rejected(self):
         stream = mixed_stream(n=200)
@@ -338,19 +340,22 @@ class TestDispatch:
         assert result.backend == "model"
 
     def test_uncovered_scalar_policies_decline(self):
-        # Observer-carrying SHiP replays need the scalar model's residency
-        # callbacks; bound instances carry state no offline kernel
-        # reconstructs. Both fall through to the model.
+        # The oracle kernel records no residencies, so an observed oracle
+        # replay falls through to the model; bound instances carry state
+        # no offline kernel reconstructs. Observed SHiP stays native.
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-
-        class Observer:
-            def residency_started(self, *a): pass
-            def residency_ended(self, *a): pass
-
+        wrapper = SharingAwareWrapper(
+            make_policy("lru"),
+            oracle_hint_source(build_stream_annotation(stream, geometry)),
+        )
+        result = run_policy_on_stream(
+            stream, geometry, wrapper, observers=(TableRecorder(),)
+        )
+        assert (result.backend, result.fallback) == ("model", "observers")
         assert run_policy_on_stream(
-            stream, geometry, "ship", observers=(Observer(),)
-        ).backend == "model"
+            stream, geometry, "ship", observers=(TableRecorder(),)
+        ).backend == "compact"
         # The model binds the instance itself, so a pre-bound one reaching
         # it fails loudly instead of replaying on a fast tier.
         bound = make_policy("ship", seed=1)

@@ -16,7 +16,7 @@ Two axes, each promising *bit-identical* results:
   a stable sort, and the replays that use the numpy reconstruction
   (:func:`reconstruct_lru_replay`, :func:`replay_lru_fastpath`,
   :func:`replay_setpath`, :func:`reconstruct_psel_series`) against the
-  object model, observer callbacks included.
+  object model, residency tables included.
 
 The set-dueling tier additionally pins its PSEL reconstruction: the
 two-phase replay rebuilds the PSEL time-series from leader misses alone,
@@ -56,7 +56,7 @@ from repro.sim.setpath import (
     replay_tier_table,
     setpath_tier_of,
 )
-from tests.conftest import RecordingObserver, make_stream
+from tests.conftest import TableRecorder, make_stream
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +208,12 @@ class TestPselReconstruction:
 
 
 def _model_events(stream, geometry, policy):
-    """Result and observer callbacks of the object-model replay."""
-    observer = RecordingObserver()
+    """Result and residency-table rows of the object-model replay."""
+    observer = TableRecorder()
     result = LlcOnlySimulator(geometry, policy, observers=(observer,)).run(
         stream
     )
-    return result, observer.events
+    return result, observer.rows
 
 
 class TestNumpyVsPython:
@@ -225,27 +225,21 @@ class TestNumpyVsPython:
         assert list(vectorized) == list(scalar)
 
     def test_replay_lru_fastpath(self, stream, geometry):
-        observer = RecordingObserver()
+        observer = TableRecorder()
         vectorized = replay_lru_fastpath(stream, geometry,
                                          observers=(observer,))
-        scalar, events = _model_events(stream, geometry,
-                                       make_policy("lru", seed=0))
+        scalar, rows = _model_events(stream, geometry,
+                                     make_policy("lru", seed=0))
         assert vectorized == scalar
-        assert observer.events == events
+        assert observer.rows == rows
 
     def test_reconstruct_lru_replay(self, stream, geometry):
-        walk = reconstruct_lru_replay(stream, geometry)
-        scalar, events = _model_events(stream, geometry,
-                                       make_policy("lru", seed=0))
-        assert (walk.hits, walk.misses) == (scalar.hits, scalar.misses)
-        ended = {e[3]: e for e in events if e[0] == "ended"}
-        assert walk.residencies == len(ended)
-        for rid in range(walk.residencies):
-            event = ended[walk.res_fill[rid] + 1]
-            assert (walk.res_core_mask[rid], walk.res_write_mask[rid],
-                    walk.res_hits[rid], walk.res_other_hits[rid]) \
-                == event[7:11]
-            assert walk.res_end[rid] == (-1 if event[11] else event[4] - 1)
+        table = reconstruct_lru_replay(stream, geometry)
+        scalar, rows = _model_events(stream, geometry,
+                                     make_policy("lru", seed=0))
+        assert len(table) == scalar.misses
+        assert int(table.hits.sum()) == scalar.hits
+        assert table.rows() == rows
 
     def test_partition_stream(self, stream, geometry):
         vectorized = partition_stream(stream.blocks, geometry.num_sets)
@@ -258,15 +252,15 @@ class TestNumpyVsPython:
 
     @pytest.mark.parametrize("policy", ["srrip", "drrip", "nru", "random"])
     def test_replay_setpath(self, stream, geometry, policy):
-        observer = RecordingObserver()
+        observer = TableRecorder()
         vectorized = replay_setpath(
             stream, geometry, make_policy(policy, seed=1),
             observers=(observer,),
         )
-        scalar, events = _model_events(stream, geometry,
-                                       make_policy(policy, seed=1))
+        scalar, rows = _model_events(stream, geometry,
+                                     make_policy(policy, seed=1))
         assert vectorized == scalar
-        assert observer.events == events
+        assert observer.rows == rows
         assert replay_setpath(
             stream, geometry, make_policy(policy, seed=1)
         ) == scalar
