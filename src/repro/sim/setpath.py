@@ -253,6 +253,13 @@ def _rrip_set(seg, pos, ways, rmax, bimodal, rng, throttle, use_b, fills,
     return hits
 
 
+_SYNC_MIN_ACCESSES = 4096
+_SYNC_MIN_ROWS = 64
+"""Below either bound (stream length; accesses per synchronous step, i.e.
+sets active per step on average) a single SRRIP variant runs faster set
+by set than through the synchronous kernel's per-step numpy calls."""
+
+
 def _count_rrip_sync_stacked(
     part: StreamPartition, ways: int, configs
 ) -> List[int]:
@@ -272,7 +279,8 @@ def _count_rrip_sync_stacked(
 
     ``configs`` is a sequence of ``(rmax, insertion_rrpv)`` pairs — one per
     variant; a plain SRRIP replay is the single variant ``(rmax, rmax -
-    1)``. The variant axis is flattened into the row dimension: row
+    1)``, which on short or sparse input (:data:`_SYNC_MIN_ACCESSES`,
+    :data:`_SYNC_MIN_ROWS`) steps set by set instead. The variant axis is flattened into the row dimension: row
     ``v * num_sets + s`` is variant ``v``'s copy of set ``s``. Each step
     broadcasts the same block column to every variant (``np.tile``);
     per-row ``rmax``/insertion vectors (``np.repeat`` over the variant
@@ -306,6 +314,21 @@ def _count_rrip_sync_stacked(
         return [0] * nv
     maxlen = int(lens.max())
     num_sets = part.num_sets
+    n = len(part.blocks)
+    if nv == 1 and configs[0][1] == configs[0][0] - 1 and (
+        n < _SYNC_MIN_ACCESSES or n < _SYNC_MIN_ROWS * maxlen
+    ):
+        # Short or sparse input: every synchronous step would cover few
+        # sets, so its ~10 numpy calls cost more than the recurrence they
+        # vectorize, and the compaction and tiling are pure set-up. Step
+        # each set through the same recurrence (_rrip_set) instead.
+        rmax = configs[0][0]
+        blocks = part.blocks
+        return [sum(
+            _rrip_set(blocks[lo:hi], None, ways, rmax, False, None, 0,
+                      None, None)
+            for lo, hi in zip(part.starts, part.starts[1:]) if lo < hi
+        )]
     ids = np.unique(part.blocks_np, return_inverse=True)[1].astype(np.int32)
     seg = np.full((num_sets, maxlen), -1, dtype=np.int32)
     col = np.arange(maxlen)

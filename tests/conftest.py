@@ -132,6 +132,32 @@ def reference_fill_log(rows, stream_length):
     return budgets, sum(_is_shared(row[6]) for row in rows), len(rows)
 
 
+def reference_set_stats(rows, num_sets):
+    """SetStatsProbe: per-set ``(misses, hits, evictions, live)`` lists."""
+    misses, hits, evictions, live = ([0] * num_sets for __ in range(4))
+    for row in rows:
+        set_index = row[1]
+        misses[set_index] += 1
+        hits[set_index] += row[8]
+        if row[10]:
+            live[set_index] += 1
+        else:
+            evictions[set_index] += 1
+    return misses, hits, evictions, live
+
+
+def reference_eviction_reasons(rows):
+    """EvictionReasonProbe: ``reason -> (count, dead, shared, lifetimes)``."""
+    out = {"capacity": [0, 0, 0, []], "flush": [0, 0, 0, []]}
+    for row in rows:
+        entry = out["flush" if row[10] else "capacity"]
+        entry[0] += 1
+        entry[1] += row[8] == 0
+        entry[2] += _is_shared(row[6])
+        entry[3].append(row[3] - row[2])
+    return out
+
+
 def reference_harness(rows, predictor, warmup_fills=0) -> ConfusionMatrix:
     """PredictorHarness over one table: predict at each fill, train at
     each end, in the order the object model runs them — an eviction at
