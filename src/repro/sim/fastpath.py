@@ -247,7 +247,8 @@ def reconstruct_lru_replay(
     require_core_masks_fit(stream)
     start = perf_counter()
     fills: List[int] = []
-    _lru_walk(stream.blocks, geometry.num_sets, geometry.ways, fills)
+    _lru_walk(stream.blocks.tolist(), geometry.num_sets, geometry.ways,
+              fills)
     if profile is not None:
         profile["lru_walk"] = perf_counter() - start
         start = perf_counter()
@@ -288,7 +289,8 @@ def replay_lru_fastpath(
             profile["consume"] = perf_counter() - phase_start
         hits = n - len(table)
     else:
-        hits = _lru_walk(stream.blocks, geometry.num_sets, geometry.ways)
+        hits = _lru_walk(stream.blocks.tolist(), geometry.num_sets,
+                         geometry.ways)
         if profile is not None:
             profile["lru_walk"] = perf_counter() - start
     return LlcSimResult(
