@@ -7,8 +7,8 @@ feature, not the budget, which is exactly the paper's conclusion.
 
 Predictor harnesses are passive observers of one and the same base replay,
 so the whole sizing grid rides a *single* replay per workload: every
-config's harness attaches to one observers tuple and they all see the
-identical callback sequence a dedicated replay would deliver.
+config's harness attaches to one observers tuple and they all consume the
+identical residency table a dedicated replay would deliver.
 """
 
 from benchmarks.conftest import GEOMETRY_4MB, emit, once

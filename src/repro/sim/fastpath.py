@@ -22,7 +22,7 @@ sweep) for plain-LRU replays with a cheaper walk:
    <repro.cache.residency.ResidencyTable.from_fills>`): ends from the
    next fill into the same frame, hit counts and core/write masks from
    segmented ``numpy`` reductions over the stream columns. Masks are
-   int64, so streams with core ids above 62 have no fast observer replay:
+   int64, so streams with core ids above 62 have no fast residency table:
    :func:`core_masks_fit` tells the replay entry point to run them on the
    object model instead.
 3. **Consumption** — each observer reduces over the table once
@@ -274,8 +274,8 @@ def replay_lru_fastpath(
     counts, and observers consume the same residency table. When no
     observers are attached the replay is pure classification.
     ``profile``, when a dict, receives per-phase wall times (see
-    :func:`reconstruct_lru_replay`, plus ``consume``). Observer replays
-    raise :class:`SimulationError` on streams that fail
+    :func:`reconstruct_lru_replay`, plus ``consume``). Observer-carrying
+    replays raise :class:`SimulationError` on streams that fail
     :func:`core_masks_fit`.
     """
     start = perf_counter()

@@ -817,12 +817,12 @@ def replay_setpath(
 
     Drop-in replacement for an object-model replay
     (:class:`repro.sim.engine.LlcOnlySimulator`) of setpath-eligible
-    policies: same hit/miss/eviction counts, same observer
-    callbacks in the same order (equivalence-tested per policy). Without
-    observers the replay is pure classification (count kernels, no
-    skeleton). ``profile``, when a dict, receives per-phase wall times
+    policies: same hit/miss/eviction counts, and observers consume the
+    same residency table (equivalence-tested per policy). Without
+    observers the replay is pure classification (no fill record).
+    ``profile``, when a dict, receives per-phase wall times
     (``partition``, ``set_kernels``, ``psel_series`` for dueling,
-    ``assemble``/``reconstruct``/``observer_replay`` with observers).
+    ``table``/``consume`` with observers).
     """
     start = perf_counter()
     tier = setpath_tier_of(policy)

@@ -43,6 +43,13 @@ def oracle(stream):
     )
 
 
+@pytest.fixture(autouse=True)
+def _native_on(monkeypatch):
+    """These tests pin which backend runs, so the native gate stays on
+    even in a job that sets REPRO_SIM_NO_NATIVE for the rest."""
+    monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
+
+
 class TestFallbackReasons:
     def test_vocabulary_is_fixed(self):
         assert FALLBACK_REASONS == (

@@ -93,7 +93,7 @@ class TestEquivalence:
         fast = replay_lru_fastpath(stream, geometry)
         assert fast == slow  # LlcSimResult equality excludes timing
 
-    def test_wide_core_ids_defer_to_python(self):
+    def test_wide_core_ids_defer_to_python(self, monkeypatch):
         # Core 63 overflows the int64 mask kernel: observer-carrying
         # replays must run on the Python object model, not build wrong
         # masks on a fast tier.
@@ -102,6 +102,7 @@ class TestEquivalence:
             + [(c, 0x100, b, c == 2) for b in range(8) for c in (0, 2, 63)]
         )
         geometry = CacheGeometry(2 * 4 * 64, 4)
+        monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
         for policy in ("lru", "srrip", "ship"):
             obs_entry, obs_model = TableRecorder(), TableRecorder()
             result = run_policy_on_stream(

@@ -85,6 +85,13 @@ def tables(stream, geometry, policy, seed=3):
     return fast, fast_rows, model_rows
 
 
+@pytest.fixture(autouse=True)
+def _native_on(monkeypatch):
+    """These tests pin which backend runs, so the native gate stays on
+    even in a job that sets REPRO_SIM_NO_NATIVE for the rest."""
+    monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
+
+
 class TestTierEquality:
     @settings(max_examples=30, deadline=None)
     @given(

@@ -339,10 +339,11 @@ class TestDispatch:
         result = run_policy_on_stream(stream, geometry, "ship", native=False)
         assert result.backend == "model"
 
-    def test_uncovered_scalar_policies_decline(self):
+    def test_uncovered_scalar_policies_decline(self, monkeypatch):
         # The oracle kernel records no residencies, so an observed oracle
         # replay falls through to the model; bound instances carry state
         # no offline kernel reconstructs. Observed SHiP stays native.
+        monkeypatch.delenv("REPRO_SIM_NO_NATIVE", raising=False)
         stream = mixed_stream(n=500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         wrapper = SharingAwareWrapper(
