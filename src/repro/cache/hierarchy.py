@@ -118,7 +118,8 @@ class CmpHierarchy:
             trace: the interleaved multi-thread trace; thread ids must be
                 within the machine's core count.
             flush: end live LLC residencies afterwards and hand the
-                residency table to the observers.
+                residency table to the observers (without the flush
+                they receive nothing).
 
         Raises:
             SimulationError: when the trace uses more threads than cores.

@@ -56,7 +56,8 @@ class LlcOnlySimulator:
         Args:
             stream: the recorded LLC demand stream.
             flush: end still-live residencies afterwards and hand the
-                residency table to the observers.
+                residency table to the observers (without the flush
+                they receive nothing).
             profile: optional dict receiving per-stage wall times
                 (``replay_loop``, ``flush``) for the replay profiler;
                 ``None`` (the default) times nothing beyond the loop.
