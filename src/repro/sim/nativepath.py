@@ -54,7 +54,7 @@ from repro.policies.base import REPLAY_SCALAR
 from repro.policies.lru import LruPolicy
 from repro.policies.rrip import SrripPolicy
 from repro.policies.ship import ShipPolicy
-from repro.sim.fastpath import decode_fills
+from repro.sim.fastpath import decode_fills, require_core_masks_fit
 from repro.sim.results import LlcSimResult
 
 NO_NATIVE_ENV = "REPRO_SIM_NO_NATIVE"
@@ -478,12 +478,15 @@ def replay_ship_nativepath(
     ``result.backend``. The policy instance is left unbound (the kernel
     reads only its configuration: ``rrpv_max``, SHCT geometry, and the
     initial counter value). Observers consume the residency table the
-    kernel's fill record rebuilds (callers check
-    :func:`repro.sim.fastpath.core_masks_fit` first).
+    kernel's fill record rebuilds; with observers, a stream whose core ids
+    do not fit int64 masks raises :class:`SimulationError`
+    (:func:`repro.sim.fastpath.core_masks_fit`).
 
     ``profile``, when a dict, receives ``native_prepare`` /
     ``native_kernel`` wall times and the chosen ``native_backend``.
     """
+    if observers:
+        require_core_masks_fit(stream)
     start = perf_counter()
     n = len(stream.blocks)
     rmax = policy.rrpv_max

@@ -59,8 +59,8 @@ def _is_shared(core_mask):
 def reference_breakdown(rows) -> HitBreakdown:
     """SharingClassifier, folded one row at a time."""
     b = HitBreakdown()
-    for __, ___, ____, _____, ______, _______, core_mask, write_mask, hits, \
-            ________, _________ in rows:
+    for row in rows:
+        core_mask, write_mask, hits = row[6], row[7], row[8]
         b.residencies += 1
         b.hits += hits
         degree = bin(core_mask).count("1")

@@ -21,6 +21,7 @@ from repro.common.errors import SimulationError
 from repro.oracle.residency import FillSharingLog
 from repro.policies.lru import LruPolicy
 from repro.policies.rrip import SrripPolicy
+from repro.policies.ship import ShipPolicy
 from repro.predictors.harness import PredictorHarness
 from repro.predictors.registry import make_predictor
 from repro.sim.engine import LlcOnlySimulator
@@ -33,6 +34,7 @@ from repro.sim.fastpath import (
     replay_lru_fastpath,
 )
 from repro.sim.multipass import run_policy_on_stream
+from repro.sim.nativepath import replay_ship_nativepath
 from repro.sim.probes import run_probed_replay
 from repro.sim.setpath import reconstruct_setpath_replay
 from tests.conftest import TableRecorder, make_stream
@@ -133,6 +135,9 @@ class TestEquivalence:
         with pytest.raises(SimulationError, match="core ids"):
             replay_lru_fastpath(stream, geometry,
                                 observers=(TableRecorder(),))
+        with pytest.raises(SimulationError, match="core ids"):
+            replay_ship_nativepath(stream, geometry, ShipPolicy(),
+                                   observers=(TableRecorder(),))
         report = run_probed_replay(stream, geometry, "lru",
                                    ["sharing", "reuse"])
         assert report.tier == "scalar"
