@@ -44,7 +44,7 @@ from repro.sim.nativepath import (
     replay_oracle_nativepath,
     try_native_replay,
 )
-from tests.conftest import make_stream
+from tests.conftest import TableRecorder, make_stream
 from tests.strategies import SIGNATURE_PCS, replay_stream_lists
 
 SEED = 23
@@ -293,14 +293,11 @@ class TestOracleFallbackChain:
         assert replay_oracle_nativepath(stream, GEOMETRY, wrapper) is None
 
     def test_observers_decline(self):
-        class Observer:
-            def residency_started(self, *args): pass
-            def residency_ended(self, *args): pass
-
+        # The oracle kernel records no residencies.
         stream = shared_stream(400, 30)
         wrapper = make_wrapper("lru", self._budgets(stream))
         assert try_native_replay(
-            stream, GEOMETRY, wrapper, observers=(Observer(),)
+            stream, GEOMETRY, wrapper, observers=(TableRecorder(),)
         ) is None
 
     def test_env_escape_hatch_lands_on_model(self, monkeypatch):
