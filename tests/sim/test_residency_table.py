@@ -273,13 +273,13 @@ class TestPredictorHarness:
         # the ordered loop after the replay, not the live hook.
         stream = sharing_stream(1500)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        driver = make_predictor("address")
+        hinting = make_predictor("address")
         recorder = TableRecorder()
         watcher = PredictorHarness(make_predictor("pc"))
         wrapper = SharingAwareWrapper(LruPolicy(),
-                                      predictor_hint_source(driver))
+                                      predictor_hint_source(hinting))
         run_policy_on_stream(stream, geometry, wrapper,
                              observers=(recorder, watcher,
-                                        PredictorHarness(driver)))
+                                        PredictorHarness(hinting)))
         assert watcher.matrix == reference_harness(recorder.rows,
                                                    make_predictor("pc"))
