@@ -254,10 +254,9 @@ def _rrip_set(seg, pos, ways, rmax, bimodal, rng, throttle, use_b, fills,
 
 
 _SYNC_MIN_ACCESSES = 4096
-_SYNC_MIN_ROWS = 64
-"""Below either bound (stream length; accesses per synchronous step, i.e.
-sets active per step on average) a single SRRIP variant runs faster set
-by set than through the synchronous kernel's per-step numpy calls."""
+"""Below this stream length a single SRRIP variant runs faster set by set
+than through the synchronous kernel's per-step numpy calls (measured on
+the 1-2k-access set-sampled streams of the scenario fuzzer)."""
 
 
 def _count_rrip_sync_stacked(
@@ -279,8 +278,8 @@ def _count_rrip_sync_stacked(
 
     ``configs`` is a sequence of ``(rmax, insertion_rrpv)`` pairs — one per
     variant; a plain SRRIP replay is the single variant ``(rmax, rmax -
-    1)``, which on short or sparse input (:data:`_SYNC_MIN_ACCESSES`,
-    :data:`_SYNC_MIN_ROWS`) steps set by set instead. The variant axis is flattened into the row dimension: row
+    1)``, which on short input (:data:`_SYNC_MIN_ACCESSES`) steps set by
+    set instead. The variant axis is flattened into the row dimension: row
     ``v * num_sets + s`` is variant ``v``'s copy of set ``s``. Each step
     broadcasts the same block column to every variant (``np.tile``);
     per-row ``rmax``/insertion vectors (``np.repeat`` over the variant
@@ -315,13 +314,12 @@ def _count_rrip_sync_stacked(
     maxlen = int(lens.max())
     num_sets = part.num_sets
     n = len(part.blocks)
-    if nv == 1 and configs[0][1] == configs[0][0] - 1 and (
-        n < _SYNC_MIN_ACCESSES or n < _SYNC_MIN_ROWS * maxlen
-    ):
-        # Short or sparse input: every synchronous step would cover few
-        # sets, so its ~10 numpy calls cost more than the recurrence they
-        # vectorize, and the compaction and tiling are pure set-up. Step
-        # each set through the same recurrence (_rrip_set) instead.
+    if (nv == 1 and configs[0][1] == configs[0][0] - 1
+            and n < _SYNC_MIN_ACCESSES):
+        # Short input: every synchronous step covers few sets, so its ~10
+        # numpy calls cost more than the recurrence they vectorize, and
+        # the compaction and tiling are pure set-up. Step each set
+        # through the same recurrence (_rrip_set) instead.
         rmax = configs[0][0]
         blocks = part.blocks
         return [sum(
