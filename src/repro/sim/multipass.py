@@ -37,7 +37,7 @@ from repro.sim.fastpath import (
     fastpath_enabled,
     replay_lru_fastpath,
 )
-from repro.sim.nativepath import native_decline_reason, try_native_replay
+from repro.sim.nativepath import try_native_replay
 from repro.sim.results import LlcSimResult
 from repro.sim.setpath import replay_setpath, setpath_tier_of
 from repro.trace.trace import Trace
@@ -128,12 +128,9 @@ def _try_fast_replay(stream, geometry, policy, observers, fastpath, native):
         return replay_lru_fastpath(stream, geometry, observers=observers), None
     if tier in (REPLAY_SET, REPLAY_DUELING):
         return replay_setpath(stream, geometry, policy, observers=observers), None
-    reason = native_decline_reason(stream, policy, observers, native)
-    if reason is not None:
-        return None, reason
     return try_native_replay(
         stream, geometry, policy, observers=observers, native=native
-    ), None
+    )
 
 
 _NEXT_USE_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()

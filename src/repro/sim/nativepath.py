@@ -35,10 +35,10 @@ recorded as ``backend == "compact"``:
   resolves to the scalar tier: exact-type unbound :class:`ShipPolicy`
   replays route here (with observers, the kernel also records every
   fill, and the residency table is rebuilt from that record), as do
-  native-eligible oracle wrappers without observers
-  (:func:`oracle_native_spec`); everything else falls back to the scalar
-  model, and :func:`native_decline_reason` names why (the result's
-  ``fallback`` field).
+  unbound oracle wrappers over an aligned annotation without observers;
+  everything else falls back to the scalar model.
+  :func:`native_decline_reason` is the one place that decides, and names
+  why a replay declines (the result's ``fallback`` field).
 """
 
 from time import perf_counter
@@ -348,49 +348,12 @@ def _oracle_count_compact(blocks, cores, hints, sigs, num_sets: int,
     return hits, protected_fills, exemptions, released
 
 
-def _oracle_decline(policy) -> Optional[str]:
-    """Why the native oracle kernel cannot run ``policy`` (a fallback
-    reason of :data:`repro.sim.results.FALLBACK_REASONS`), or ``None``."""
-    # Imported lazily: repro.oracle pulls in the replay dispatch at module
-    # import, so a top-level import here would be circular.
-    from repro.oracle.annotate import AnnotationHintSource
-    from repro.oracle.wrapper import SharingAwareWrapper
-
-    if type(policy) is not SharingAwareWrapper:
-        return "subclass"
-    if policy.geometry is not None or policy.base.geometry is not None:
-        return "bound-instance"
-    if type(policy.base) not in _ORACLE_BASE_FAMILIES:
-        return "subclass"
-    if type(policy.hint_source) is not AnnotationHintSource:
-        return "hint-source"
-    return None
-
-
-def oracle_native_spec(policy):
-    """``(family, base, hint_source)`` when the native oracle path covers
-    ``policy``, else ``None``.
-
-    The guards mirror :func:`native_eligible`, extended across the
-    composition: the wrapper itself must be the exact class and unbound,
-    its base an exact-type unbound {LRU, SRRIP, SHiP}, and its hint source
-    an exact :class:`repro.oracle.annotate.AnnotationHintSource` (any
-    cap: the kernel reads its int32 budgets directly). Anything else —
-    undeclared subclasses, bound instances, live predictor hint sources —
-    takes the object model.
-    """
-    if _oracle_decline(policy) is not None:
-        return None
-    base = policy.base
-    return _ORACLE_BASE_FAMILIES[type(base)], base, policy.hint_source
-
-
 def replay_oracle_nativepath(
     stream: LlcStream,
     geometry: CacheGeometry,
     policy,
     profile=None,
-) -> Optional[LlcSimResult]:
+) -> LlcSimResult:
     """Replay ``stream`` under an unbound oracle wrapper, natively.
 
     Classification twin of the object-model replay:
@@ -398,21 +361,15 @@ def replay_oracle_nativepath(
     (``protected_fills``/``exemptions_applied``/``releases``) written back
     onto the instance — :func:`repro.oracle.runner.run_oracle_variants`
     reads them off the wrapper after the replay, whichever backend ran.
-    The wrapper and its base stay unbound. Returns ``None`` (caller falls
-    back) when the wrapper is not native-eligible or its annotation is not
-    aligned with this stream.
+    The wrapper and its base stay unbound. ``policy`` must be one that
+    :func:`native_decline_reason` accepts for ``stream`` (an exact-type
+    unbound wrapper over {LRU, SRRIP, SHiP} whose annotation is aligned
+    with the stream); :func:`try_native_replay` checks that first.
     """
-    spec = oracle_native_spec(policy)
-    if spec is None:
-        return None
-    family, base, source = spec
-    budgets = source.budgets
+    base = policy.base
+    family = _ORACLE_BASE_FAMILIES[type(base)]
+    budgets = policy.hint_source.budgets
     n = len(stream.blocks)
-    if len(budgets) != n + 1:
-        # The annotation was built for a different stream; hints cannot be
-        # exported by ordinal. The model reproduces whatever (possibly
-        # out-of-range) hints the closure would serve.
-        return None
     start = perf_counter()
     mode = _ORACLE_MODES[policy.mode]
     release = _ORACLE_RELEASES[policy.release]
@@ -525,19 +482,6 @@ def replay_ship_nativepath(
     )
 
 
-def native_eligible(policy) -> bool:
-    """True when ``policy`` (name or instance) can take the native backend.
-
-    Mirrors the two-guard discipline of the set-partitioned engine: the
-    kernel is keyed by *exact* type — an undeclared :class:`ShipPolicy`
-    subclass must not ride the parent's kernel — and a bound instance may
-    carry pre-seeded SHCT/RRPV state no offline kernel reconstructs.
-    """
-    if isinstance(policy, str):
-        return policy == "ship"
-    return type(policy) is ShipPolicy and policy.geometry is None
-
-
 def native_decline_reason(stream: LlcStream, policy, observers: Tuple = (),
                           native: Optional[bool] = None) -> Optional[str]:
     """Why the native backend declines a scalar-tier replay, or ``None``.
@@ -547,8 +491,16 @@ def native_decline_reason(stream: LlcStream, policy, observers: Tuple = (),
     ``bound-instance``, ``subclass`` (no kernel for the exact type),
     ``hint-source`` (a wrapper whose hints are not an annotation aligned
     with ``stream``) or ``observers`` (an oracle wrapper with observers;
-    its kernel records no residencies).
+    its kernel records no residencies). Kernels are keyed by *exact* type,
+    as on the set-partitioned engine — an undeclared subclass must not
+    ride its parent's kernel — and a bound instance may carry pre-seeded
+    SHCT/RRPV state no offline kernel reconstructs.
     """
+    # Imported lazily: repro.oracle pulls in the replay dispatch at module
+    # import, so a top-level import here would be circular.
+    from repro.oracle.annotate import AnnotationHintSource
+    from repro.oracle.wrapper import SharingAwareWrapper
+
     if not native_enabled(native):
         return "gate-off"
     if isinstance(policy, str):
@@ -557,14 +509,21 @@ def native_decline_reason(stream: LlcStream, policy, observers: Tuple = (),
         return "bound-instance"
     if type(policy) is ShipPolicy:
         return None
-    reason = _oracle_decline(policy)
-    if reason is None and len(policy.hint_source.budgets) != len(stream) + 1:
-        # The annotation was built for a different stream; hints cannot be
-        # exported by ordinal.
-        reason = "hint-source"
-    if reason is None and observers:
-        reason = "observers"
-    return reason
+    if type(policy) is not SharingAwareWrapper:
+        return "subclass"
+    if policy.base.geometry is not None:
+        return "bound-instance"
+    if type(policy.base) not in _ORACLE_BASE_FAMILIES:
+        return "subclass"
+    source = policy.hint_source
+    if (type(source) is not AnnotationHintSource
+            or len(source.budgets) != len(stream) + 1):
+        # Only an annotation built for this very stream can be laid down
+        # as a per-access hint column.
+        return "hint-source"
+    if observers:
+        return "observers"
+    return None
 
 
 def try_native_replay(
@@ -574,24 +533,26 @@ def try_native_replay(
     observers: Tuple = (),
     native: Optional[bool] = None,
     profile=None,
-) -> Optional[LlcSimResult]:
-    """Native replay of a scalar-tier policy, or ``None`` to fall back.
+) -> Tuple[Optional[LlcSimResult], Optional[str]]:
+    """``(result, None)`` from the native backend, or ``(None, reason)``.
 
-    Returns ``None`` — caller proceeds to the scalar model — whenever
-    :func:`native_decline_reason` names a reason: the backend is gated
-    off, or the policy is neither an exact-type unbound SHiP (name or
-    instance, observers welcome) nor an exact-type unbound
+    The reason is :func:`native_decline_reason`'s, the one decision over
+    which scalar-tier replays run natively: an exact-type unbound SHiP
+    (name or instance, observers welcome) or an exact-type unbound
     :class:`SharingAwareWrapper` over {LRU, SRRIP, SHiP} with an
-    annotation-backed hint source and no observers (see
-    :func:`oracle_native_spec`). ``policy`` given as the name ``"ship"``
-    constructs the registry default, matching what the scalar fallback
-    would build.
+    annotation aligned with ``stream`` and no observers. On a reason the
+    caller proceeds to the scalar model. ``policy`` given as the name
+    ``"ship"`` constructs the registry default, matching what the scalar
+    fallback would build.
     """
-    if native_decline_reason(stream, policy, observers, native) is not None:
-        return None
+    reason = native_decline_reason(stream, policy, observers, native)
+    if reason is not None:
+        return None, reason
     if isinstance(policy, str) or type(policy) is ShipPolicy:
         instance = policy if isinstance(policy, ShipPolicy) else ShipPolicy()
         return replay_ship_nativepath(
             stream, geometry, instance, observers=observers, profile=profile
-        )
-    return replay_oracle_nativepath(stream, geometry, policy, profile=profile)
+        ), None
+    return replay_oracle_nativepath(
+        stream, geometry, policy, profile=profile
+    ), None

@@ -40,7 +40,7 @@ from repro.policies.registry import make_policy
 from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import (
     NO_NATIVE_ENV,
-    oracle_native_spec,
+    native_decline_reason,
     replay_oracle_nativepath,
     try_native_replay,
 )
@@ -227,13 +227,14 @@ class TestOracleFallbackChain:
         stream = shared_stream(400, 30)
         budgets = self._budgets(stream)
         for base in BASES:
-            assert oracle_native_spec(make_wrapper(base, budgets)) is not None
+            wrapper = make_wrapper(base, budgets)
+            assert native_decline_reason(stream, wrapper) is None
 
     def test_unsupported_base_declines(self):
         stream = shared_stream(400, 30)
         budgets = self._budgets(stream)
         wrapper = make_wrapper("drrip", budgets)
-        assert oracle_native_spec(wrapper) is None
+        assert native_decline_reason(stream, wrapper) == "subclass"
         result = run_policy_on_stream(
             stream, GEOMETRY, wrapper, seed=SEED, native=True
         )
@@ -243,14 +244,15 @@ class TestOracleFallbackChain:
         stream = shared_stream(400, 30)
         wrapper = make_wrapper("lru", self._budgets(stream))
         wrapper.bind(GEOMETRY)
-        assert oracle_native_spec(wrapper) is None
-        assert try_native_replay(stream, GEOMETRY, wrapper) is None
+        assert try_native_replay(stream, GEOMETRY, wrapper) == (
+            None, "bound-instance"
+        )
 
     def test_bound_base_declines(self):
         stream = shared_stream(400, 30)
         wrapper = make_wrapper("lru", self._budgets(stream))
         wrapper.base.bind(GEOMETRY)
-        assert oracle_native_spec(wrapper) is None
+        assert native_decline_reason(stream, wrapper) == "bound-instance"
 
     def test_subclassed_wrapper_declines(self):
         class TweakedWrapper(SharingAwareWrapper):
@@ -261,7 +263,7 @@ class TestOracleFallbackChain:
             make_policy("lru", seed=SEED),
             oracle_hint_source(self._budgets(stream)), "both",
         )
-        assert oracle_native_spec(wrapper) is None
+        assert native_decline_reason(stream, wrapper) == "subclass"
         result = run_policy_on_stream(
             stream, GEOMETRY, wrapper, seed=SEED, native=True
         )
@@ -276,13 +278,14 @@ class TestOracleFallbackChain:
             make_policy("lru", seed=SEED),
             TweakedSource(self._budgets(stream)), "both",
         )
-        assert oracle_native_spec(wrapper) is None
+        assert native_decline_reason(stream, wrapper) == "hint-source"
 
     def test_closure_hint_source_declines(self):
+        stream = shared_stream(400, 30)
         wrapper = SharingAwareWrapper(
             make_policy("lru", seed=SEED), lambda llc, c, b, pc: 0, "both"
         )
-        assert oracle_native_spec(wrapper) is None
+        assert native_decline_reason(stream, wrapper) == "hint-source"
 
     def test_misaligned_annotation_declines(self):
         # An annotation built for a different stream length cannot be
@@ -290,7 +293,9 @@ class TestOracleFallbackChain:
         short = shared_stream(200, 30)
         stream = shared_stream(400, 30)
         wrapper = make_wrapper("lru", self._budgets(short))
-        assert replay_oracle_nativepath(stream, GEOMETRY, wrapper) is None
+        assert try_native_replay(stream, GEOMETRY, wrapper) == (
+            None, "hint-source"
+        )
 
     def test_observers_decline(self):
         # The oracle kernel records no residencies.
@@ -298,7 +303,7 @@ class TestOracleFallbackChain:
         wrapper = make_wrapper("lru", self._budgets(stream))
         assert try_native_replay(
             stream, GEOMETRY, wrapper, observers=(TableRecorder(),)
-        ) is None
+        ) == (None, "observers")
 
     def test_env_escape_hatch_lands_on_model(self, monkeypatch):
         stream = shared_stream(600, 40)

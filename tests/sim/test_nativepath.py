@@ -27,7 +27,7 @@ from repro.sim.multipass import run_policy_on_stream
 from repro.sim.nativepath import (
     NO_NATIVE_ENV,
     _hash_pcs,
-    native_eligible,
+    native_decline_reason,
     replay_ship_nativepath,
     try_native_replay,
 )
@@ -187,14 +187,14 @@ class TestFallbackChain:
     def test_undeclared_subclass_lands_on_model(self):
         # Exact-type guard: a subclass must not ride the parent's kernel
         # (it resolves to the scalar tier through the non-inheriting
-        # REPLAY_TIER, and native_eligible re-checks the exact type).
+        # REPLAY_TIER, and native_decline_reason re-checks the exact type).
         class TweakedShip(ShipPolicy):
             def on_hit(self, set_index, way, block, pc, core, is_write):
                 self._rrpv[set_index][way] = 1  # not 0: different policy
 
         stream = mixed_stream(800, 50)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        assert not native_eligible(TweakedShip())
+        assert native_decline_reason(stream, TweakedShip()) == "subclass"
         result = run_policy_on_stream(stream, geometry, TweakedShip())
         assert result.backend == "model"
         assert result.tier == REPLAY_SCALAR
@@ -204,8 +204,9 @@ class TestFallbackChain:
         geometry = CacheGeometry(8 * 4 * 64, 4)
         bound = ShipPolicy()
         bound.bind(geometry)
-        assert not native_eligible(bound)
-        assert try_native_replay(stream, geometry, bound) is None
+        assert try_native_replay(stream, geometry, bound) == (
+            None, "bound-instance"
+        )
 
     def test_observers_ride_the_kernel(self):
         # The kernel records every fill, so an observed SHiP replay stays
@@ -213,12 +214,13 @@ class TestFallbackChain:
         stream = mixed_stream(400, 30)
         geometry = CacheGeometry(8 * 4 * 64, 4)
         native, model = TableRecorder(), TableRecorder()
-        result = try_native_replay(
+        result, reason = try_native_replay(
             stream, geometry, "ship", observers=(native,)
         )
         reference = run_policy_on_stream(
             stream, geometry, "ship", observers=(model,), fastpath=False
         )
+        assert reason is None
         assert result.backend == "compact" and result == reference
         assert native.rows == model.rows and model.rows
 
@@ -236,8 +238,8 @@ class TestFallbackChain:
     def test_name_and_instance_agree(self):
         stream = mixed_stream(900, 55)
         geometry = CacheGeometry(8 * 4 * 64, 4)
-        by_name = try_native_replay(stream, geometry, "ship")
-        by_instance = try_native_replay(stream, geometry, ShipPolicy())
+        by_name, __ = try_native_replay(stream, geometry, "ship")
+        by_instance, __ = try_native_replay(stream, geometry, ShipPolicy())
         assert by_name is not None and by_instance is not None
         assert by_name == by_instance
 
