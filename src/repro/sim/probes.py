@@ -71,10 +71,10 @@ from repro.policies.base import REPLAY_SCALAR, REPLAY_STACK
 from repro.sim.fastpath import (
     core_masks_fit,
     fastpath_enabled,
-    reconstruct_lru_replay,
+    replay_lru_fastpath,
 )
 from repro.sim.results import LlcSimResult
-from repro.sim.setpath import reconstruct_setpath_replay, setpath_tier_of
+from repro.sim.setpath import replay_setpath, setpath_tier_of
 
 PROBE_FORMAT_VERSION = 1
 """Bump when the on-disk shape of :meth:`ProbeReport.as_dict` changes."""
@@ -91,10 +91,12 @@ class Probe:
       scalar tier (:func:`run_probed_replay` never silently degrades a
       probe).
     * ``wants_access_events`` — receives :meth:`on_access` per LLC access
-      via the :class:`ProbeBus`; a *safe* access probe must read nothing
-      but its arguments' stream fields (core, pc, block, is_write), since
-      on the fast tiers it is fed the stream itself with ``llc``, ``hit``
-      and ``evicted`` set to ``None``.
+      via the :class:`ProbeBus`. Only the object model raises these, so
+      an access probe always forces the scalar tier.
+    * ``wants_stream`` — receives the whole replayed stream once, after
+      the replay, through :meth:`consume_stream`, on every tier: a probe
+      of a policy-independent stream property needs no per-access
+      dispatch.
     * ``wants_policy`` — :meth:`bind` requires a bound policy instance and
       may reject incompatible ones with :class:`ConfigError`.
     * ``needs_hierarchy`` — cannot run on a replay at all; it attaches to a
@@ -104,6 +106,7 @@ class Probe:
     name = ""
     fastpath_safe = False
     wants_access_events = False
+    wants_stream = False
     wants_policy = False
     needs_hierarchy = False
 
@@ -112,6 +115,9 @@ class Probe:
 
     def on_access(self, llc, core, pc, block, is_write, hit, evicted) -> None:
         """Per-access callback (after the cache fully processed it)."""
+
+    def consume_stream(self, stream: LlcStream) -> None:
+        """Whole-stream feed after the replay (``wants_stream``)."""
 
     def finalize(self) -> None:
         """Post-replay pass (histogram folding etc.); default no-op."""
@@ -325,7 +331,7 @@ class ReuseDistanceProbe(Probe):
     Distances are computed under the canonical per-set LRU stack model of
     the *stream* — a policy-independent property (the probe maintains its
     own stack, never reading cache or policy state), which is what makes it
-    ``fastpath_safe``: on the fast tiers it is simply fed the stream.
+    ``fastpath_safe``: on every tier it is fed the stream after the replay.
     Distance ``ways`` is the capped miss bucket (true distance >= ways,
     cold misses included); each access is attributed to the sharing class
     its residency *ends up* with under that canonical LRU model.
@@ -333,7 +339,7 @@ class ReuseDistanceProbe(Probe):
 
     name = "reuse"
     fastpath_safe = True
-    wants_access_events = True
+    wants_stream = True
 
     def __init__(self):
         self._ways = 0
@@ -353,25 +359,32 @@ class ReuseDistanceProbe(Probe):
         self._rid_of = {}
         self._core_mask = []
 
-    def on_access(self, llc, core, pc, block, is_write, hit, evicted) -> None:
-        st = self._stacks[block & self._set_mask]
-        rid = self._rid_of.get(block)
-        if rid is not None:
-            idx = st.index(block)
-            distance = len(st) - 1 - idx
-            del st[idx]
-            st.append(block)
-            self._core_mask[rid] |= 1 << core
-        else:
-            distance = self._ways
-            if len(st) == self._ways:
-                del self._rid_of[st.pop(0)]
-            st.append(block)
-            rid = len(self._core_mask)
-            self._rid_of[block] = rid
-            self._core_mask.append(1 << core)
-        self._acc_rids.append(rid)
-        self._acc_dists.append(distance)
+    def consume_stream(self, stream: LlcStream) -> None:
+        ways = self._ways
+        set_mask = self._set_mask
+        stacks = self._stacks
+        rid_of = self._rid_of
+        core_mask = self._core_mask
+        rids = self._acc_rids
+        dists = self._acc_dists
+        for block, core in zip(stream.blocks, stream.cores):
+            st = stacks[block & set_mask]
+            rid = rid_of.get(block)
+            if rid is not None:
+                idx = st.index(block)
+                dists.append(len(st) - 1 - idx)
+                del st[idx]
+                st.append(block)
+                core_mask[rid] |= 1 << core
+            else:
+                dists.append(ways)
+                if len(st) == ways:
+                    del rid_of[st.pop(0)]
+                st.append(block)
+                rid = len(core_mask)
+                rid_of[block] = rid
+                core_mask.append(1 << core)
+            rids.append(rid)
 
     def finalize(self) -> None:
         buckets = self._ways + 1
@@ -696,7 +709,9 @@ def run_probed_replay(
     Tier selection: the declared replay tier of the policy
     (:func:`repro.sim.setpath.setpath_tier_of`) engages only when the gate
     allows it **and every probe is fastpath-safe** — one scalar-only probe
-    forces the whole replay scalar (probes are never silently degraded),
+    (or one that wants per-access events, which only the object model
+    raises) forces the whole replay scalar (probes are never silently
+    degraded),
     as does a stream whose core ids do not fit the fast tiers' int64
     residency masks (:func:`repro.sim.fastpath.core_masks_fit`).
     The report's ``tier`` is the tier that actually ran: ``"stack"`` (LRU
@@ -705,14 +720,15 @@ def run_probed_replay(
     tiers, and match :func:`repro.sim.multipass.run_policy_on_stream` for
     the same ``(policy_name, seed)`` (identical seed derivation).
 
-    Access probes stay policy-independent on the fast tiers: the reuse
-    probe models canonical per-set LRU stacks of the *stream*, so it is
-    fed the stream itself there (timed under ``profile["probe_reuse"]``).
+    Stream probes (``wants_stream``; the reuse probe models canonical
+    per-set LRU stacks of the *stream*) are fed the stream after the
+    replay on every tier, timed under ``profile["probe_<name>"]``.
 
     ``profile`` in the returned report carries per-stage wall times from
-    the replay profiler (LRU walk or partition/set kernels / residency
-    table / consumption on the fast tiers; replay loop / flush on the
-    scalar path), plus per-probe stream-feeding times and ``total``.
+    the replay profiler (LRU walk or partition/set kernels, plus residency
+    table / consumption when residency probes ride along, on the fast
+    tiers; replay loop / flush on the scalar path), plus the stream-feeding
+    times and ``total``.
     """
     probes = resolve_probes(probes)
     for probe in probes:
@@ -726,7 +742,8 @@ def run_probed_replay(
     tier = REPLAY_SCALAR
     if (
         fastpath_enabled(fastpath)
-        and all(p.fastpath_safe for p in probes)
+        and all(p.fastpath_safe and not p.wants_access_events
+                for p in probes)
         and core_masks_fit(stream)
     ):
         tier = setpath_tier_of(policy_name)
@@ -736,35 +753,17 @@ def run_probed_replay(
         for probe in probes:
             probe.bind(geometry, None)
         if tier == REPLAY_STACK:
-            table = reconstruct_lru_replay(stream, geometry, profile=profile)
+            result = replay_lru_fastpath(
+                stream, geometry, observers=observers, profile=profile
+            )
         else:
             policy = make_policy(
                 policy_name, seed=derive_seed(seed, "replay", policy_name)
             )
-            table = reconstruct_setpath_replay(
-                stream, geometry, policy, profile=profile
+            result = replay_setpath(
+                stream, geometry, policy, observers=observers,
+                profile=profile,
             )
-        phase_start = perf_counter()
-        for observer in observers:
-            observer.consume(table)
-        profile["consume"] = perf_counter() - phase_start
-        for probe in probes:
-            if probe.wants_access_events:
-                phase_start = perf_counter()
-                on_access = probe.on_access
-                for core, pc, block, write in zip(*stream.columns()):
-                    on_access(None, core, pc, block, write != 0, None, None)
-                profile[f"probe_{probe.name}"] = perf_counter() - phase_start
-        n = len(stream)
-        result = LlcSimResult(
-            policy=policy_name,
-            stream_name=stream.name,
-            accesses=n,
-            hits=n - len(table),
-            misses=len(table),
-            elapsed_sec=perf_counter() - start,
-            tier=tier,
-        )
     else:
         policy = make_policy(
             policy_name, seed=derive_seed(seed, "replay", policy_name)
@@ -777,6 +776,11 @@ def run_probed_replay(
             simulator.llc.attach_probe_bus(ProbeBus(access_probes))
         result = simulator.run(stream, profile=profile)
         policy_state = policy.introspect()
+    for probe in probes:
+        if probe.wants_stream:
+            phase_start = perf_counter()
+            probe.consume_stream(stream)
+            profile[f"probe_{probe.name}"] = perf_counter() - phase_start
     finalize_start = perf_counter()
     for probe in probes:
         probe.finalize()
